@@ -20,7 +20,7 @@ values /= values.sum() * grid.cell_area
 density = DensityGrid(grid=grid, values=values)
 
 state = FieldState.from_density(density)
-params = HedacParams(diffusion=3000.0, damping=1.0, solver_tolerance=1e-8)
+params = HedacParams(diffusion=3000.0, damping=1.0)
 solve_potential(state, params)
 
 print(f"potential range: {state.potential.min():.3e} to {state.potential.max():.3e}")

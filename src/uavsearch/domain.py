@@ -302,21 +302,15 @@ def build_initial_density(zones, grid: GridSpec, total_people: int) -> DensityGr
     return DensityGrid(grid=grid, values=values)
 
 
-def bilinear_on_grid(grid: GridSpec, values: np.ndarray, x, y):
-    """Bilinear interpolation of a cell-centered value array.
-
-    Query points are clamped to the cell-center hull, which extends the
-    field as constant over the outer half-cell ring of the grid
-    rectangle.
-    """
-    xs = np.clip(np.asarray(x, dtype=float),
-                 grid.x_origin + 0.5 * grid.cell_size,
-                 grid.x_origin + (grid.ncols - 0.5) * grid.cell_size)
-    ys = np.clip(np.asarray(y, dtype=float),
-                 grid.y_origin + 0.5 * grid.cell_size,
-                 grid.y_origin + (grid.nrows - 0.5) * grid.cell_size)
-    scalar = xs.ndim == 0 and ys.ndim == 0
-    xs, ys = np.atleast_1d(xs), np.atleast_1d(ys)
+def _bilinear_support(grid: GridSpec, x, y):
+    """Corner indices (j0, j1, i0, i1) and weights (tx, ty), as 1-d arrays,
+    of bilinear interpolation at clamped query points."""
+    xs = np.atleast_1d(np.clip(np.asarray(x, dtype=float),
+                               grid.x_origin + 0.5 * grid.cell_size,
+                               grid.x_origin + (grid.ncols - 0.5) * grid.cell_size))
+    ys = np.atleast_1d(np.clip(np.asarray(y, dtype=float),
+                               grid.y_origin + 0.5 * grid.cell_size,
+                               grid.y_origin + (grid.nrows - 0.5) * grid.cell_size))
     fx = (xs - (grid.x_origin + 0.5 * grid.cell_size)) / grid.cell_size
     fy = (ys - (grid.y_origin + 0.5 * grid.cell_size)) / grid.cell_size
     i0 = np.clip(np.floor(fx).astype(int), 0, max(grid.ncols - 2, 0))
@@ -325,10 +319,53 @@ def bilinear_on_grid(grid: GridSpec, values: np.ndarray, x, y):
     j1 = np.minimum(j0 + 1, grid.nrows - 1)
     tx = np.clip(fx - i0, 0.0, 1.0)
     ty = np.clip(fy - j0, 0.0, 1.0)
-    v = (
-        values[j0, i0] * (1 - tx) * (1 - ty)
-        + values[j0, i1] * tx * (1 - ty)
-        + values[j1, i0] * (1 - tx) * ty
-        + values[j1, i1] * tx * ty
+    return j0, j1, i0, i1, tx, ty
+
+
+def _blend(v00, v10, v01, v11, tx, ty):
+    """Bilinear blend of the corner values at (j0, i0), (j0, i1), (j1, i0), (j1, i1)."""
+    return (
+        v00 * (1 - tx) * (1 - ty)
+        + v10 * tx * (1 - ty)
+        + v01 * (1 - tx) * ty
+        + v11 * tx * ty
     )
-    return float(v[0]) if scalar else v
+
+
+def bilinear_on_grid(grid: GridSpec, values: np.ndarray, x, y):
+    """Bilinear interpolation of a cell-centered value array.
+
+    Query points are clamped to the cell-center hull, which extends the
+    field as constant over the outer half-cell ring of the grid
+    rectangle.
+    """
+    j0, j1, i0, i1, tx, ty = _bilinear_support(grid, x, y)
+    v = _blend(values[j0, i0], values[j0, i1], values[j1, i0], values[j1, i1], tx, ty)
+    return float(v[0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else v
+
+
+def gradient_on_grid(grid: GridSpec, values: np.ndarray, x: float, y: float,
+                     ) -> tuple[float, float]:
+    """bilinear_on_grid of np.gradient(values, grid.cell_size) at one point.
+
+    The differences are taken only at the four corner nodes the
+    interpolation reads: central inside the grid, one-sided on its
+    edges, with np.gradient's arithmetic, so the result is bit-identical
+    to interpolating the full-grid gradient. An axis of one cell has
+    zero derivative.
+    """
+    j0, j1, i0, i1, tx, ty = _bilinear_support(grid, x, y)
+    rows = np.concatenate([j0, j0, j1, j1])
+    cols = np.concatenate([i0, i1, i0, i1])
+
+    def neighbours(index, n):
+        lo, hi = np.maximum(index - 1, 0), np.minimum(index + 1, n - 1)
+        return lo, hi, np.maximum(hi - lo, 1) * grid.cell_size
+
+    lo, hi, step = neighbours(cols, grid.ncols)
+    grad_x = (values[rows, hi] - values[rows, lo]) / step
+    lo, hi, step = neighbours(rows, grid.nrows)
+    grad_y = (values[hi, cols] - values[lo, cols]) / step
+    corners = np.stack([grad_x, grad_y], axis=1)
+    gx, gy = _blend(corners[0], corners[1], corners[2], corners[3], tx, ty)
+    return float(gx), float(gy)

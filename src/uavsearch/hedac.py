@@ -11,10 +11,12 @@ Heading guidance comes from a screened-Poisson potential
 
 with zero normal derivative on the domain boundary, discretized with the
 five-point stencil and mirrored ghost cells on the cell-centered grid.
-The system (damping * I - diffusion * L) u = undetected is symmetric
-positive definite and is solved iteratively (MINRES, which has a
-monotone residual) to a relative-residual tolerance. Vehicles climb the
-interpolated gradient of u.
+On this rectangle the operator (damping * I - diffusion * L) is
+diagonalised exactly by the 2-D DCT-II, so each solve is one forward
+and one inverse transform with a division by the eigenvalues in
+between: exact to rounding, with no tolerance and no state carried
+from one solve to the next. Vehicles climb the interpolated gradient
+of u.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import minres
+from scipy.fft import dctn, idctn
+# Not called here: bench/tracer.py wraps this name to count Krylov iterations.
+from scipy.sparse.linalg import minres  # noqa: F401
 
-from .domain import DensityGrid, GridSpec, bilinear_on_grid
+from .domain import DensityGrid, GridSpec, gradient_on_grid
 from .errors import SolverError
 from .sensing import (CameraModel, CameraPose, RecallTable, SensingParams,
                       detection_rate_footprint)
@@ -43,18 +47,12 @@ class HedacParams:
 
     diffusion: float = 1000.0
     damping: float = 1.0
-    solver_tolerance: float = 1e-8
-    max_iterations: int = 5000
 
     def __post_init__(self) -> None:
         if not self.diffusion > 0:
             raise SolverError("diffusion must be positive")
         if not self.damping > 0:
             raise SolverError("damping must be positive")
-        if not 0 < self.solver_tolerance < 1:
-            raise SolverError("solver_tolerance must be in (0, 1)")
-        if self.max_iterations < 1:
-            raise SolverError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -111,8 +109,8 @@ def neumann_laplacian(grid: GridSpec) -> sp.csr_matrix:
 
     def second_difference(n: int) -> sp.csr_matrix:
         main = np.full(n, -2.0)
-        main[0] = -1.0
-        main[-1] = -1.0
+        main[0] += 1.0   # += so a one-cell axis, mirrored on both faces, is 0
+        main[-1] += 1.0
         off = np.ones(n - 1)
         return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
@@ -125,60 +123,25 @@ def neumann_laplacian(grid: GridSpec) -> sp.csr_matrix:
 
 
 class PotentialSolver:
-    """Reusable solver for the screened-Poisson potential.
+    """Exact screened-Poisson solve by the 2-D DCT-II.
 
-    Assembles the sparse operator once and warm-starts each solve from
-    the previous solution, which keeps per-step iteration counts low
-    when the source changes slowly.
+    The DCT-II basis vectors are the eigenvectors of the second
+    difference with mirrored ghost cells, with eigenvalues
+    2 cos(pi k / n) - 2 per axis, so the operator's eigenvalue array is
+    computed once and each solve divides by it in the transform domain.
     """
 
     def __init__(self, grid: GridSpec, params: HedacParams):
-        self.grid = grid
-        self.params = params
-        laplacian = neumann_laplacian(grid)
-        n = grid.ncols * grid.nrows
-        self.matrix = (params.damping * sp.identity(n, format="csr")
-                       - params.diffusion * laplacian).tocsr()
-        self._warm = np.zeros(n)
-        # Gershgorin: eigenvalues lie in [damping, damping + 8 diffusion/h^2].
-        # minres stops on ||r|| / (||A|| ||x|| + ||b||), which is weaker than
-        # ||r||/||b|| by up to this condition bound, so scale rtol down by it
-        # and verify the true residual afterwards.
         h2 = grid.cell_size ** 2
-        self._condition_bound = 1.0 + 8.0 * params.diffusion / (params.damping * h2)
+        ev_rows = 2.0 * np.cos(np.pi * np.arange(grid.nrows) / grid.nrows) - 2.0
+        ev_cols = 2.0 * np.cos(np.pi * np.arange(grid.ncols) / grid.ncols) - 2.0
+        self.eigenvalues = params.damping - params.diffusion * (
+            ev_rows[:, None] + ev_cols[None, :]) / h2
 
-    def solve(self, source: np.ndarray, warm_start: bool = True) -> np.ndarray:
-        """Solve to relative residual <= solver_tolerance or raise SolverError.
-
-        The Krylov run is restarted from its last iterate with a tighter
-        inner tolerance until the measured residual passes; each restart
-        resumes from the previous residual, so the residual sequence
-        stays non-increasing across the whole solve.
-        """
-        b = np.ravel(source, order="C")
-        b_norm = float(np.linalg.norm(b))
-        if b_norm == 0.0:
-            self._warm = np.zeros_like(b)
-            return np.zeros(self.grid.shape)
-        x = self._warm if warm_start else None
-        tol = self.params.solver_tolerance
-        # The 0.1 covers the slack between the Gershgorin bound and the
-        # norm estimate inside minres; measured first-call residuals
-        # run 2-3x above tol with a factor of 0.5.
-        inner_rtol = 0.1 * tol / (self._condition_bound + 1.0)
-        residual = np.inf
-        for _ in range(6):
-            x, _ = minres(self.matrix, b, x0=x, rtol=max(inner_rtol, 1e-15),
-                          maxiter=self.params.max_iterations)
-            residual = float(np.linalg.norm(b - self.matrix @ x)) / b_norm
-            if residual <= tol:
-                self._warm = x.copy()
-                return x.reshape(self.grid.shape)
-            inner_rtol *= 1e-2
-        raise SolverError(
-            f"potential solve stalled: relative residual {residual:.3e} "
-            f"(tolerance {tol:.1e})"
-        )
+    def solve(self, source: np.ndarray) -> np.ndarray:
+        """Potential u with (damping * I - diffusion * L) u = source."""
+        spectrum = dctn(source, type=2, norm="ortho") / self.eigenvalues
+        return idctn(spectrum, type=2, norm="ortho")
 
     def refresh(self, state: FieldState) -> None:
         state.potential = self.solve(state.undetected)
@@ -186,8 +149,7 @@ class PotentialSolver:
 
 def solve_potential(state: FieldState, params: HedacParams) -> np.ndarray:
     """One-shot potential solve; updates and returns state.potential."""
-    solver = PotentialSolver(state.grid, params)
-    state.potential = solver.solve(state.undetected, warm_start=False)
+    state.potential = PotentialSolver(state.grid, params).solve(state.undetected)
     return state.potential
 
 
@@ -204,9 +166,7 @@ def steering_gradient(state: FieldState, position) -> np.ndarray | None:
     if not bool(state.grid.contains(x, y)):
         raise SolverError(
             f"steering query ({x:g}, {y:g}) outside flight domain {state.grid.rect}")
-    grad_y, grad_x = np.gradient(state.potential, state.grid.cell_size)
-    gx = bilinear_on_grid(state.grid, grad_x, x, y)
-    gy = bilinear_on_grid(state.grid, grad_y, x, y)
+    gx, gy = gradient_on_grid(state.grid, state.potential, x, y)
     norm = float(np.hypot(gx, gy))
     if norm < 1e-12:
         return None

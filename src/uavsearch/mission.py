@@ -43,7 +43,7 @@ from .domain import DensityGrid, SearchDomain, Zone, build_flight_domain, build_
 from .errors import MissionError
 from .hedac import FieldState, HedacParams, PotentialSolver, accomplishment, accumulate_coverage, steering_gradient
 from .sensing import CameraModel, CameraPose, RecallTable, SensingParams
-from .terrain import TerrainGrid, elevation_at
+from .terrain import TerrainGrid, elevation_at, first_nodata_under
 
 SENSE_DT = 1.0       # seconds between sensing / field / heading updates
 KINEMATIC_DT = 0.5   # seconds between kinematic integration steps
@@ -196,6 +196,13 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
             f"({gx0:g}, {gy0:g})..({gx1:g}, {gy1:g}) vs terrain extent "
             f"({xmin:g}, {ymin:g})..({xmax:g}, {ymax:g})"
         )
+    nodata = first_nodata_under(config.terrain, domain.grid.rect)
+    if nodata is not None:
+        row, col = nodata
+        raise MissionError(
+            f"terrain cell (row {row}, col {col}) at ({config.terrain.x_centers[col]:g}, "
+            f"{config.terrain.y_centers[row]:g}) is nodata under the flight domain "
+            f"({gx0:g}, {gy0:g})..({gx1:g}, {gy1:g})")
     total_people = sum(z.person_count for z in config.zones)
     density = build_initial_density(config.zones, domain.grid, total_people)
 
@@ -258,17 +265,15 @@ def _replan_period(limits: UavLimits) -> int:
 def run_flight(field_state: FieldState, flight: FlightConfig, env: MissionEnv,
                carried: UavState | None = None, flight_index: int = 0,
                base_time: float = 0.0, observer=None,
-               solver: PotentialSolver | None = None,
                ) -> tuple[UavState, FlightLog, list[tuple[float, float]], int]:
     """Run one flight, mutating the shared field state.
 
     Returns (final vehicle state, log, accomplishment samples on the
     mission 1 s grid, boundary clamp count). observer, if given, is
     called as observer(mission_time, field_state) after every sensing
-    update. Connected flights must share one solver: its warm-start
-    iterate is part of the carried mission state, and re-seeding it
-    from zeros would let the tolerance-sized solve difference steer the
-    trajectory apart.
+    update. The potential is solved exactly from the field state at
+    every step, so the vehicle state and the field state are all that
+    connected flights carry over.
     """
     limits = env.uavs[flight.uav]
     camera = env.cameras[flight.camera]
@@ -278,8 +283,7 @@ def run_flight(field_state: FieldState, flight: FlightConfig, env: MissionEnv,
     mpc_config = replace(env.config.mpc,
                          min_clearance=max(NO_FLY_FLOOR, flight.min_altitude),
                          goal_clearance=flight.goal_altitude)
-    if solver is None:
-        solver = PotentialSolver(field_state.grid, env.config.hedac)
+    solver = PotentialSolver(field_state.grid, env.config.hedac)
 
     grid_rect = env.domain.grid.rect
     half_cell = 0.5 * env.domain.grid.cell_size
@@ -355,7 +359,6 @@ def run_mission(config: MissionConfig, observer=None) -> MissionReport:
     """Run all flights of a mission over one shared field state."""
     env = prepare_environment(config)
     field_state = FieldState.from_density(env.density)
-    solver = PotentialSolver(field_state.grid, config.hedac)
     logs: list[FlightLog] = []
     eta_points: list[tuple[float, float]] = [(0.0, accomplishment(field_state))]
     clamp_total = 0
@@ -364,7 +367,7 @@ def run_mission(config: MissionConfig, observer=None) -> MissionReport:
     base_time = 0.0
     for index, flight in enumerate(config.flights):
         carried, log, eta_ticks, clamps = run_flight(
-            field_state, flight, env, carried, index, base_time, observer, solver)
+            field_state, flight, env, carried, index, base_time, observer)
         logs.append(log)
         eta_points.extend(eta_ticks)
         clamp_total += clamps

@@ -234,8 +234,7 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
     flights = tuple(_parse_flight(f, i) for i, f in enumerate(flights_data))
 
     hedac = _parse_section(data.get("hedac", {}), "hedac", {
-        "diffusion": float, "damping": float,
-        "solver_tolerance": float, "max_iterations": int}, HedacParams)
+        "diffusion": float, "damping": float}, HedacParams)
     sensing = _parse_section(data.get("sensing", {}), "sensing", {
         "rate_scale": float, "falloff_exponent": float}, SensingParams)
     mpc = _parse_section(data.get("mpc", {}), "mpc", {

@@ -290,8 +290,7 @@ def detection_rate_footprint(pose: CameraPose, camera: CameraModel,
     detection_rate evaluated per cell center.
     """
     # Bound the footprint by the deepest possible view ray.
-    terrain_min = float(np.min(grid.elevations))
-    max_depth = pose.z - terrain_min
+    max_depth = pose.z - grid.min_elevation
     if max_depth <= 0:
         return slice(0, 0), slice(0, 0), np.zeros((0, 0))
     reach = math.hypot(max_depth * camera.half_tan_x, max_depth * camera.half_tan_y)

@@ -12,7 +12,7 @@ a cell smaller than the file's outer footprint on each side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class TerrainGrid:
     elevations has shape (nrows, ncols) with row 0 at the south edge.
     Cells equal to nodata are carried through loading but any query
     whose bilinear support touches one raises TerrainError.
+    min_elevation is the lowest valid elevation (inf when no cell is
+    valid), taken once at construction.
     """
 
     ncols: int
@@ -38,6 +40,7 @@ class TerrainGrid:
     cell_size: float
     nodata: float
     elevations: np.ndarray
+    min_elevation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ncols < 2 or self.nrows < 2:
@@ -53,6 +56,7 @@ class TerrainGrid:
         data = self.elevations[self.elevations != self.nodata]
         if data.size and not np.all(np.isfinite(data)):
             raise TerrainError("elevation grid contains non-finite values")
+        self.min_elevation = float(data.min()) if data.size else math.inf
 
     @property
     def x_centers(self) -> np.ndarray:
@@ -168,6 +172,24 @@ def save_terrain(grid: TerrainGrid, path, fmt: str = "%.2f") -> None:
             fh.write("\n")
 
 
+def _support_corner(grid: TerrainGrid, x, y):
+    """Lower-left supporting cell (i0, j0) of bilinear queries at (x, y),
+    with the fractional cell coordinates (fx, fy)."""
+    fx = (x - (grid.xllcorner + 0.5 * grid.cell_size)) / grid.cell_size
+    fy = (y - (grid.yllcorner + 0.5 * grid.cell_size)) / grid.cell_size
+    i0 = np.clip(np.floor(fx).astype(int), 0, grid.ncols - 2)
+    j0 = np.clip(np.floor(fy).astype(int), 0, grid.nrows - 2)
+    return i0, j0, fx, fy
+
+
+def first_nodata_under(grid: TerrainGrid, rect) -> tuple[int, int] | None:
+    """(row, col) of the first nodata cell that supports a query inside
+    rect (xmin, xmax, ymin, ymax), or None when there is none."""
+    (c0, c1), (r0, r1), _, _ = _support_corner(grid, np.array(rect[:2]), np.array(rect[2:]))
+    bad = np.argwhere(grid.elevations[r0:r1 + 2, c0:c1 + 2] == grid.nodata)
+    return (int(bad[0][0]) + r0, int(bad[0][1]) + c0) if bad.size else None
+
+
 def elevation_at(grid: TerrainGrid, x, y):
     """Bilinear ground elevation at (x, y). Accepts scalars or arrays.
 
@@ -187,10 +209,7 @@ def elevation_at(grid: TerrainGrid, x, y):
             f"{grid.extent}"
         )
 
-    fx = (x - (grid.xllcorner + 0.5 * grid.cell_size)) / grid.cell_size
-    fy = (y - (grid.yllcorner + 0.5 * grid.cell_size)) / grid.cell_size
-    i0 = np.clip(np.floor(fx).astype(int), 0, grid.ncols - 2)
-    j0 = np.clip(np.floor(fy).astype(int), 0, grid.nrows - 2)
+    i0, j0, fx, fy = _support_corner(grid, x, y)
     tx = fx - i0
     ty = fy - j0
 

@@ -57,10 +57,8 @@ def test_01_potential_solver_second_order(checklist):
         X, Y = np.meshgrid(grid.x_centers, grid.y_centers)
         exact = np.cos(np.pi * X / side) * np.cos(np.pi * Y / side)
         source = (damping + diffusion * 2.0 * (np.pi / side) ** 2) * exact
-        solver = PotentialSolver(grid, HedacParams(
-            diffusion=diffusion, damping=damping,
-            solver_tolerance=1e-10, max_iterations=20000))
-        solved = solver.solve(source, warm_start=False)
+        solver = PotentialSolver(grid, HedacParams(diffusion=diffusion, damping=damping))
+        solved = solver.solve(source)
         errors.append(float(np.sqrt(np.mean((solved - exact) ** 2))))
     runtime = time.perf_counter() - started
 

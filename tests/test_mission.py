@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavsearch import (UAV_PRESETS, DensityGrid, FieldState, FlightConfig,
-                       GridSpec, HedacParams, MissionConfig, MissionError,
+from uavsearch import (UAV_PRESETS, CameraPose, DensityGrid, FieldState,
+                       FlightConfig, GridSpec, HedacParams, MissionConfig, MissionError,
                        MonteCarloConfig, TargetTracker, TerrainGrid, Zone,
-                       binomial_band, build_initial_density, elevation_at,
+                       binomial_band, build_initial_density,
+                       detection_rate_footprint, elevation_at,
                        monte_carlo_validate, prepare_environment, run_mission)
 
 NCOLS = NROWS = 42
@@ -36,8 +37,7 @@ def tiny_config(flights, mission_id="tiny", **kwargs):
         flights=tuple(flights),
         offset=50.0,
         cell_size=10.0,
-        hedac=HedacParams(diffusion=2000.0, damping=1.0,
-                          solver_tolerance=1e-6, max_iterations=3000),
+        hedac=HedacParams(diffusion=2000.0, damping=1.0),
         seed=5,
         monte_carlo=MonteCarloConfig(targets=300, seed=71),
     )
@@ -71,6 +71,43 @@ def test_prepare_environment_validation():
     with pytest.raises(MissionError) as err:
         prepare_environment(tiny_config([one_flight(zone_ids=("nope",))]))
     assert "zone subset" in str(err.value)
+
+
+def terrain_with_nodata(x, y):
+    """tiny_terrain with the cell containing (x, y) set to nodata."""
+    terrain = tiny_terrain()
+    elev = terrain.elevations.copy()
+    elev[int((y - Y0) // CELL), int((x - X0) // CELL)] = terrain.nodata
+    return replace(terrain, elevations=elev)
+
+
+def test_nodata_outside_the_domain_changes_nothing():
+    # the domain spans -50..250 m; the corner cell at (335, 335) lies
+    # beyond it and must not widen the footprint blocks or move the path
+    clean = tiny_config([one_flight(duration=12)])
+    holed = tiny_config([one_flight(duration=12)], terrain=terrain_with_nodata(335.0, 335.0))
+    want, got = run_mission(clean), run_mission(holed)
+    assert got.logs[0].rows == want.logs[0].rows
+    np.testing.assert_array_equal(got.eta, want.eta)
+    env = prepare_environment(clean)
+    camera = env.cameras["X5S"]
+    for t, x, y, z, heading, *_ in want.logs[0].rows[::4]:
+        pose = CameraPose(x=x, y=y, z=z, yaw=heading)
+        a = detection_rate_footprint(pose, camera, clean.terrain, env.recall,
+                                     clean.sensing, env.domain.grid)
+        b = detection_rate_footprint(pose, camera, holed.terrain, env.recall,
+                                     clean.sensing, env.domain.grid)
+        assert (b[0], b[1]) == (a[0], a[1]), t
+        np.testing.assert_array_equal(b[2], a[2])
+
+
+def test_nodata_under_the_domain_fails_at_load():
+    config = tiny_config([one_flight()], terrain=terrain_with_nodata(100.0, 100.0))
+    with pytest.raises(MissionError) as err:
+        prepare_environment(config)
+    assert "terrain cell (row 17, col 17) at (105, 105) is nodata" in str(err.value)
+    with pytest.raises(MissionError):
+        run_mission(config)
 
 
 def test_custom_presets_resolved():
@@ -142,8 +179,9 @@ def test_connected_flights_carry_state():
 
 def test_split_flight_matches_single_flight():
     # one 12 s flight vs 6 + 6 with carried state; the split lands on a
-    # replanning boundary and the field solver carries across flights,
-    # so the two runs are bit-for-bit the same trajectory
+    # replanning boundary and each flight solves the potential exactly
+    # from the carried field, so the two runs are bit-for-bit the same
+    # trajectory
     whole = run_mission(tiny_config([one_flight(duration=12)]))
     split = run_mission(tiny_config([one_flight(duration=6),
                                      one_flight(duration=6, start=None)]))

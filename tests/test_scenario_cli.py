@@ -16,8 +16,7 @@ BASE_SCENARIO = {
     "cell_size": 10.0,
     "offset": 50.0,
     "seed": 5,
-    "hedac": {"diffusion": 2000.0, "damping": 1.0,
-              "solver_tolerance": 1e-6, "max_iterations": 3000},
+    "hedac": {"diffusion": 2000.0, "damping": 1.0},
     "zones": [{"id": "square", "person_count": 12,
                "polygon": [[0, 0], [200, 0], [200, 200], [0, 200]]}],
     "flights": [{"uav": "M210", "camera": "X5S", "min_altitude": 35,
@@ -78,10 +77,13 @@ def test_terrain_path_relative_to_scenario(scenario_file, tmp_path, monkeypatch)
     (lambda d: d.update(zones=BASE_SCENARIO["zones"] * 2), "duplicate zone ids"),
     (lambda d: d.update(offset=-1), "offset"),
     (lambda d: d.update(seed=-3), "seed"),
+    (lambda d: d["hedac"].update(solver_tolerance=1e-6), "hedac.solver_tolerance"),
+    (lambda d: d["hedac"].update(max_iterations=5000), "hedac.max_iterations"),
 ], ids=["root-key", "hedac-key", "zone-key", "flight-key", "missing-id",
         "no-zones", "no-flights", "string-number", "float-duration",
         "bool-number", "zero-duration", "two-vertices", "dup-zones",
-        "neg-offset", "neg-seed"])
+        "neg-offset", "neg-seed", "retired-solver-tolerance",
+        "retired-max-iterations"])
 def test_scenario_rejects_bad_documents(scenario_file, mutate, fragment):
     path = scenario_file(mutate)
     with pytest.raises(ScenarioError) as err:

@@ -116,8 +116,7 @@ COMMON = dict(
     cell_size=20.0,
     offset=75.0,
     seed=17,
-    hedac=dict(diffusion=50000.0, damping=1.0,
-               solver_tolerance=1e-6, max_iterations=5000),
+    hedac=dict(diffusion=50000.0, damping=1.0),
 )
 
 MISSIONS = {
