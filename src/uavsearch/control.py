@@ -250,9 +250,8 @@ class MpcConfig:
     """Planner configuration.
 
     min_clearance is the hard terrain floor (m above ground);
-    goal_clearance the tracked height above ground. clearance_margin
-    None picks the pull-up distance of the vehicle plus one altitude
-    bucket automatically.
+    goal_clearance the tracked height above ground. The planner adds
+    clearance_margin() to the floor.
     """
 
     min_clearance: float = 35.0
@@ -262,7 +261,6 @@ class MpcConfig:
     speed_levels: int = 11
     incline_levels: int = 11
     altitude_bucket: float = 1.0
-    clearance_margin: float | None = None
 
     def __post_init__(self) -> None:
         if self.min_clearance < 0 or self.goal_clearance < self.min_clearance:
@@ -277,8 +275,6 @@ class MpcConfig:
 
 def clearance_margin(limits: UavLimits, config: MpcConfig) -> float:
     """Safety margin added to the terrain floor inside the planner."""
-    if config.clearance_margin is not None:
-        return config.clearance_margin
     pull_up = 0.0
     if limits.a_v_max > 0 and limits.v_z_min < 0:
         pull_up = limits.v_z_min ** 2 / (2.0 * limits.a_v_max)
@@ -309,18 +305,32 @@ def control_lattice(limits: UavLimits, config: MpcConfig
     return sp[ok], inc[ok], v_h[ok], v_z[ok]
 
 
-def _terrain_lookahead(state: UavState, heading: float, grid: TerrainGrid,
-                       limits: UavLimits, config: MpcConfig
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stage floors and altitude references (arrays of length steps).
+def _stage_model(state: UavState, heading: float, grid: TerrainGrid,
+                 limits: UavLimits, config: MpcConfig):
+    """The planner's stage model, shared by mpc_plan and evaluate_plan.
 
-    floors[i] bounds the ground under any path reachable by stage i+1 at
-    full speed (disc lookahead, truncated at the terrain extent) plus
-    min clearance and the safety margin. refs[i] is goal clearance above
-    the ground expected at the current speed along the frozen heading.
+    Returns (dt, accel_ok, lattice, ramp_dz, floors, refs):
+
+    * accel_ok(dv_h, dv_z) tests one stage's velocity change against the
+      acceleration bounds, on scalars or arrays;
+    * ramp_dz is the exact ramped first-stage climb of each lattice v_z;
+    * floors[i] bounds the ground under any path reachable by stage i+1
+      at full speed (disc lookahead, truncated at the terrain extent)
+      plus min clearance and the safety margin, capped at the altitude
+      reachable by that stage;
+    * refs[i] is goal clearance above the ground expected at the current
+      speed along the frozen heading.
     """
     steps = limits.mpc_steps
     dt = limits.mpc_horizon_s / steps
+    dv_h_lo, dv_h_hi = limits.a_h_min * dt - _EPS, limits.a_h_max * dt + _EPS
+    dv_z_lo, dv_z_hi = limits.a_v_min * dt - _EPS, limits.a_v_max * dt + _EPS
+
+    def accel_ok(dv_h, dv_z):
+        return ((dv_h >= dv_h_lo) & (dv_h <= dv_h_hi)
+                & (dv_z >= dv_z_lo) & (dv_z <= dv_z_hi))
+
+    lattice = control_lattice(limits, config)
     xmin, xmax, ymin, ymax = grid.extent
 
     # Window of terrain cells around the vehicle, as wide as the last disc.
@@ -351,7 +361,18 @@ def _terrain_lookahead(state: UavState, heading: float, grid: TerrainGrid,
         px = min(max(state.x + cos_h * (i + 1) * dt * v_nominal, xmin), xmax)
         py = min(max(state.y + sin_h * (i + 1) * dt * v_nominal, ymin), ymax)
         refs[i] = terrain_mod.elevation_at(grid, px, py) + config.goal_clearance
-    return floors, refs
+
+    # The executed first step must clear its floor with the velocity
+    # still ramping, so stage 1 is gated on the exact ramped displacement.
+    ramp_dz = np.array([
+        ramp_displacement(state.v_z, float(v), limits.a_v_min,
+                          limits.a_v_max, dt) for v in lattice[3]])
+    # A start below a floor cannot be fixed within one stage; cap each
+    # floor at the best altitude reachable by then, which turns the
+    # constraint into max-rate climb recovery until compliance returns.
+    reachable = (state.z + float(ramp_dz.max())
+                 + np.arange(steps) * limits.v_z_max * dt)
+    return dt, accel_ok, lattice, ramp_dz, np.minimum(floors, reachable), refs
 
 
 def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
@@ -362,68 +383,41 @@ def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
                       + altitude_weight * (z_i - reference_i)^2 ]
     subject to the velocity envelope, per-step acceleration bounds and
     the stage floors, by exact dynamic programming over the control
-    lattice and the altitude buckets. Raises MpcInfeasibleError naming
-    the binding constraint when no sequence survives.
+    lattice and the altitude buckets. Each stage takes, for every
+    control and bucket at once, the minimum over the predecessors the
+    acceleration box allows, then shifts it by the control's climb. The
+    plan is walked back through the stored stage values; ties go to the
+    first minimum in lattice order, control-major then bucket. Raises
+    MpcInfeasibleError naming the binding constraint when no sequence
+    survives.
     """
+    dt, accel_ok, (speeds, inclines, v_h, v_z), ramp_dz, floors, refs = \
+        _stage_model(state, heading, grid, limits, config)
     steps = limits.mpc_steps
-    dt = limits.mpc_horizon_s / steps
-    speeds, inclines, v_h, v_z = control_lattice(limits, config)
     n_controls = speeds.size
-    floors, refs = _terrain_lookahead(state, heading, grid, limits, config)
-
     bucket = config.altitude_bucket
     dz_buckets = np.rint(v_z * dt / bucket).astype(int)
-    max_shift = int(np.max(np.abs(dz_buckets))) if n_controls else 0
-    half = steps * max_shift
+    half = steps * int(np.max(np.abs(dz_buckets)))
     n_buckets = 2 * half + 1
     z_values = state.z + (np.arange(n_buckets) - half) * bucket
+    speed_term = config.speed_weight * v_h
 
-    # Acceleration feasibility: first step from the current velocities,
-    # later steps between consecutive lattice points.
-    dv_h_lo, dv_h_hi = limits.a_h_min * dt - _EPS, limits.a_h_max * dt + _EPS
-    dv_z_lo, dv_z_hi = limits.a_v_min * dt - _EPS, limits.a_v_max * dt + _EPS
-    first_ok = (
-        (v_h - state.v_h >= dv_h_lo) & (v_h - state.v_h <= dv_h_hi)
-        & (v_z - state.v_z >= dv_z_lo) & (v_z - state.v_z <= dv_z_hi)
-    )
+    first_ok = accel_ok(v_h - state.v_h, v_z - state.v_z)
     if not np.any(first_ok):
         raise MpcInfeasibleError(
             "no lattice control satisfies the acceleration bounds from "
             f"(v_h={state.v_h:g}, v_z={state.v_z:g}) within {dt:g} s"
         )
-    dh = v_h[:, None] - v_h[None, :]
-    dv = v_z[:, None] - v_z[None, :]
-    allowed = ((dh.T >= dv_h_lo) & (dh.T <= dv_h_hi)
-               & (dv.T >= dv_z_lo) & (dv.T <= dv_z_hi))  # [prev, next]
-    accel_never_binds = bool(allowed.all())
+    allowed = accel_ok(v_h[None, :] - v_h[:, None],
+                       v_z[None, :] - v_z[:, None])  # [prev, next]
 
-    # The executed first step must clear its floor with the velocity
-    # still ramping, so gate stage 1 on the exact ramped displacement.
-    ramp_dz = np.array([
-        ramp_displacement(state.v_z, float(v), limits.a_v_min,
-                          limits.a_v_max, dt) for v in v_z])
-    # A start below a floor cannot be fixed within one stage; cap each
-    # floor at the best altitude reachable by then, which turns the
-    # constraint into max-rate climb recovery until compliance returns.
-    reachable = (state.z + float(ramp_dz.max())
-                 + np.arange(steps) * limits.v_z_max * dt)
-    floors = np.minimum(floors, reachable)
-    first_floor_ok = state.z + ramp_dz >= floors[0] - _EPS
-
-    def stage_cost(k: int, z: np.ndarray, ref: float) -> np.ndarray:
-        return (-config.speed_weight * v_h[k]
-                + config.altitude_weight * (z - ref) ** 2)
-
-    inf = np.inf
-    value = np.full((n_controls, n_buckets), inf)
-    back: list[np.ndarray] = []
-
-    # Stage 1.
-    for k in np.nonzero(first_ok & first_floor_ok)[0]:
-        b = half + dz_buckets[k]
-        if z_values[b] < floors[0] - _EPS:
-            continue
-        value[k, b] = stage_cost(k, z_values[b], refs[0])
+    # Stage 1: each control lands in exactly one bucket.
+    first_b = half + dz_buckets
+    ok = (first_ok & (state.z + ramp_dz >= floors[0] - _EPS)
+          & (z_values[first_b] >= floors[0] - _EPS))
+    value = np.full((n_controls, n_buckets), np.inf)
+    value[ok, first_b[ok]] = (-speed_term[ok] + config.altitude_weight
+                              * (z_values[first_b[ok]] - refs[0]) ** 2)
     if not np.isfinite(value).any():
         raise MpcInfeasibleError(
             f"no feasible first step: altitude {state.z:.2f} m against the "
@@ -431,55 +425,32 @@ def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
             "acceleration limits"
         )
 
-    # Stages 2..N.
-    allowed_prev = [np.flatnonzero(allowed[:, k]) for k in range(n_controls)]
-    columns = np.arange(n_buckets)
+    # Stages 2..N. Bucket b of control k is reached from bucket src[k, b]
+    # of the stage before; src_out marks shifts off the bucket range.
+    src = np.arange(n_buckets) - dz_buckets[:, None]
+    src_out = (src < 0) | (src >= n_buckets)
+    src = np.clip(src, 0, n_buckets - 1)
+    values = [value]
     for i in range(1, steps):
-        source = value
-        if accel_never_binds:
-            best_prev = source.min(axis=0)
-            arg_prev = source.argmin(axis=0)
-        value_next = np.full((n_controls, n_buckets), inf)
-        back_next = np.full((n_controls, n_buckets), -1, dtype=np.int32)
-        dest_bad = z_values < floors[i] - _EPS
-        penalty = config.altitude_weight * (z_values - refs[i]) ** 2
-        for k in range(n_controls):
-            if not accel_never_binds:
-                idx = allowed_prev[k]
-                if idx.size == 0:
-                    continue
-                sub = source[idx]
-                pos = sub.argmin(axis=0)
-                best_prev = sub[pos, columns]
-                arg_prev = idx[pos]
-            shift = dz_buckets[k]
-            if shift >= 0:
-                src = slice(0, n_buckets - shift)
-                dst = slice(shift, n_buckets)
-            else:
-                src = slice(-shift, n_buckets)
-                dst = slice(0, n_buckets + shift)
-            cand = (best_prev[src] - config.speed_weight * v_h[k]) + penalty[dst]
-            cand[dest_bad[dst]] = inf
-            value_next[k, dst] = cand
-            back_next[k, dst] = arg_prev[src]
-        value = value_next
-        back.append(back_next)
+        best_prev = np.min(
+            np.broadcast_to(value[:, None, :], (n_controls, n_controls, n_buckets)),
+            axis=0, where=allowed[:, :, None], initial=np.inf)
+        value = ((np.take_along_axis(best_prev, src, axis=1) - speed_term[:, None])
+                 + config.altitude_weight * (z_values - refs[i]) ** 2)
+        value[src_out | (z_values < floors[i] - _EPS)] = np.inf
+        values.append(value)
         if not np.isfinite(value).any():
             raise MpcInfeasibleError(
                 f"no feasible plan at stage {i + 1}: terrain floor "
                 f"{floors[i]:.2f} m cannot be reached within the climb limits"
             )
 
-    flat = int(np.argmin(value))
-    k_i, b_i = divmod(flat, n_buckets)
-
-    sequence = [k_i]
-    for i in range(steps - 1, 0, -1):
-        k_prev = int(back[i - 1][k_i, b_i])
-        b_i = b_i - dz_buckets[k_i]
-        k_i = k_prev
-        sequence.append(k_i)
+    k, b = divmod(int(np.argmin(value)), n_buckets)
+    sequence = [k]
+    for previous in reversed(values[:-1]):
+        b -= dz_buckets[k]
+        k = int(np.argmin(np.where(allowed[:, k], previous[:, b], np.inf)))
+        sequence.append(k)
     sequence.reverse()
     return [ControlInput(speed=float(speeds[k]), incline=float(inclines[k]),
                          turn_rate=0.0) for k in sequence]
@@ -489,25 +460,18 @@ def evaluate_plan(controls, state: UavState, heading: float, grid: TerrainGrid,
                   limits: UavLimits, config: MpcConfig) -> tuple[float, bool]:
     """(cost, feasible) of a control sequence under the planner's model.
 
-    Uses the same stage floors, references, snapped altitude dynamics
-    and acceleration checks as mpc_plan, so exhaustive search over the
-    lattice with this evaluator reproduces the planner's optimum.
+    Takes its stage floors, references and acceleration test from the
+    same stage model as mpc_plan, but walks the controls one by one with
+    scalar snapped altitude steps, so exhaustive search over the lattice
+    with this evaluator is an independent oracle for the planner's
+    optimum.
     """
     steps = limits.mpc_steps
-    dt = limits.mpc_horizon_s / steps
     if len(controls) != steps:
         raise MpcInfeasibleError(f"plan must have {steps} controls")
-    floors, refs = _terrain_lookahead(state, heading, grid, limits, config)
+    dt, accel_ok, _, _, floors, refs = _stage_model(
+        state, heading, grid, limits, config)
     bucket = config.altitude_bucket
-    dv_h_lo, dv_h_hi = limits.a_h_min * dt - _EPS, limits.a_h_max * dt + _EPS
-    dv_z_lo, dv_z_hi = limits.a_v_min * dt - _EPS, limits.a_v_max * dt + _EPS
-
-    _, _, _, lattice_vz = control_lattice(limits, config)
-    best_ramp = max(
-        ramp_displacement(state.v_z, float(v), limits.a_v_min,
-                          limits.a_v_max, dt) for v in lattice_vz)
-    reachable = state.z + best_ramp + np.arange(steps) * limits.v_z_max * dt
-    floors = np.minimum(floors, reachable)
 
     z = state.z
     prev_vh, prev_vz = state.v_h, state.v_z
@@ -515,8 +479,7 @@ def evaluate_plan(controls, state: UavState, heading: float, grid: TerrainGrid,
     for i, control in enumerate(controls):
         validate_control(control, limits)
         vh, vz = control.v_h, control.v_z
-        if not (dv_h_lo <= vh - prev_vh <= dv_h_hi
-                and dv_z_lo <= vz - prev_vz <= dv_z_hi):
+        if not accel_ok(vh - prev_vh, vz - prev_vz):
             return math.inf, False
         if i == 0:
             ramped = state.z + ramp_displacement(

@@ -121,9 +121,7 @@ def mission_summary(report: MissionReport) -> dict:
     }
 
 
-def export_mission(report: MissionReport, out_dir: Path) -> list[Path]:
-    """Write all mission artifacts; returns the paths written."""
-    out = Path(out_dir)
+def _export_mission(report: MissionReport, out: Path, summary: dict) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
@@ -141,29 +139,33 @@ def export_mission(report: MissionReport, out_dir: Path) -> list[Path]:
                    record(out / "undetected.pgm"))
     written.append(out / "undetected.json")
     (record(out / "summary.json")).write_text(
-        json.dumps(mission_summary(report), sort_keys=True, indent=2) + "\n")
+        json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return written
 
 
+def export_mission(report: MissionReport, out_dir: Path) -> list[Path]:
+    """Write all mission artifacts; returns the paths written."""
+    return _export_mission(report, Path(out_dir), mission_summary(report))
+
+
 def export_validation(report: ValidationReport, out_dir: Path) -> list[Path]:
+    """Write the mission artifacts, summary.json with the validation
+    outcome, validation.csv and targets.csv; returns the paths written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = export_mission(report.mission, out)
-    write_validation_csv(report, out / "validation.csv")
-    written.append(out / "validation.csv")
-    write_targets_csv(report, out / "targets.csv")
-    written.append(out / "targets.csv")
-    detected = sum(1 for t in report.targets if t.detect_time is not None)
-    summary = json.loads((out / "summary.json").read_text())
+    summary = mission_summary(report.mission)
     summary["validation"] = {
         "targets": report.target_count,
         "seed": report.seed,
-        "detected": detected,
+        "detected": sum(1 for t in report.targets if t.detect_time is not None),
         "empirical_final": float(report.empirical[-1]),
         "predicted_final": float(report.predicted[-1]),
         "within_band": report.within_band,
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    written = _export_mission(report.mission, out, summary)
+    write_validation_csv(report, out / "validation.csv")
+    written.append(out / "validation.csv")
+    write_targets_csv(report, out / "targets.csv")
+    written.append(out / "targets.csv")
     return written
 
 

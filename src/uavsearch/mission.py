@@ -37,8 +37,8 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .control import (ControlInput, MpcConfig, UavLimits, UavState,
-                      kinematic_step, mpc_plan, ramp_toward, steer_heading,
-                      turn_rate_toward, wrap_angle)
+                      kinematic_step, mpc_plan, ramp_toward, turn_rate_toward,
+                      wrap_angle)
 from .domain import DensityGrid, SearchDomain, Zone, build_flight_domain, build_initial_density
 from .errors import MissionError
 from .hedac import FieldState, HedacParams, PotentialSolver, accomplishment, accumulate_coverage, steering_gradient

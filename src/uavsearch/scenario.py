@@ -137,53 +137,29 @@ def _parse_flight(data, index: int) -> FlightConfig:
     )
 
 
-def _parse_uavs(data, path: str) -> dict[str, UavLimits]:
+def _parse_presets(data, path: str, fields: dict, presets: dict, factory,
+                   noun: str) -> dict:
+    """Parse a section of named presets: a known name overrides some
+    fields of the built-in preset, a new name must define every field."""
     _check_type(data, dict, path)
     out = {}
-    for name, fields in data.items():
+    for name, given in data.items():
         sub = f"{path}.{name}"
-        _check_type(fields, dict, sub)
-        _reject_unknown(fields, _UAV_FIELDS, sub)
-        values = {key: _check_type(fields[key], kind, f"{sub}.{key}")
-                  for key, kind in _UAV_FIELDS.items() if key in fields}
+        _check_type(given, dict, sub)
+        _reject_unknown(given, fields, sub)
+        values = {key: _check_type(given[key], kind, f"{sub}.{key}")
+                  for key, kind in fields.items() if key in given}
         try:
-            if name in UAV_PRESETS:
-                base = UAV_PRESETS[name]
-                merged = {key: values.get(key, getattr(base, key)) for key in _UAV_FIELDS}
-                out[name] = UavLimits(name=name, **merged)
+            if name in presets:
+                base = presets[name]
+                merged = {key: values.get(key, getattr(base, key)) for key in fields}
+                out[name] = factory(name=name, **merged)
             else:
-                missing = sorted(set(_UAV_FIELDS) - set(values))
+                missing = sorted(set(fields) - set(values))
                 if missing:
                     raise ScenarioError(
-                        f"{sub}: new vehicle must define {', '.join(missing)}")
-                out[name] = UavLimits(name=name, **values)
-        except ScenarioError:
-            raise
-        except Exception as exc:
-            raise ScenarioError(f"{sub}: {exc}") from exc
-    return out
-
-
-def _parse_cameras(data, path: str) -> dict[str, CameraModel]:
-    _check_type(data, dict, path)
-    out = {}
-    for name, fields in data.items():
-        sub = f"{path}.{name}"
-        _check_type(fields, dict, sub)
-        _reject_unknown(fields, _CAMERA_FIELDS, sub)
-        values = {key: _check_type(fields[key], kind, f"{sub}.{key}")
-                  for key, kind in _CAMERA_FIELDS.items() if key in fields}
-        try:
-            if name in CAMERA_PRESETS:
-                base = CAMERA_PRESETS[name]
-                merged = {key: values.get(key, getattr(base, key)) for key in _CAMERA_FIELDS}
-                out[name] = CameraModel(name=name, **merged)
-            else:
-                missing = sorted(set(_CAMERA_FIELDS) - set(values))
-                if missing:
-                    raise ScenarioError(
-                        f"{sub}: new camera must define {', '.join(missing)}")
-                out[name] = CameraModel(name=name, **values)
+                        f"{sub}: new {noun} must define {', '.join(missing)}")
+                out[name] = factory(name=name, **values)
         except ScenarioError:
             raise
         except Exception as exc:
@@ -197,7 +173,7 @@ def _parse_section(data, path: str, fields: dict, factory):
     kwargs = {}
     for key, kind in fields.items():
         if key in data:
-            if data[key] is None and key in ("clearance_margin", "seed"):
+            if data[key] is None and key == "seed":
                 kwargs[key] = None
             else:
                 kwargs[key] = _check_type(data[key], kind, f"{path}.{key}")
@@ -240,7 +216,7 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
     mpc = _parse_section(data.get("mpc", {}), "mpc", {
         "speed_weight": float, "altitude_weight": float,
         "speed_levels": int, "incline_levels": int,
-        "altitude_bucket": float, "clearance_margin": float}, MpcConfig)
+        "altitude_bucket": float}, MpcConfig)
     monte_carlo = _parse_section(data.get("monte_carlo", {}), "monte_carlo", {
         "targets": int, "seed": int}, MonteCarloConfig)
 
@@ -251,8 +227,13 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
             recall_path = base_dir / recall_path
         recall = load_recall_table(recall_path)
 
-    uavs = _parse_uavs(data["uavs"], "uavs") if "uavs" in data else None
-    cameras = _parse_cameras(data["cameras"], "cameras") if "cameras" in data else None
+    uavs = cameras = None
+    if "uavs" in data:
+        uavs = _parse_presets(data["uavs"], "uavs", _UAV_FIELDS, UAV_PRESETS,
+                              UavLimits, "vehicle")
+    if "cameras" in data:
+        cameras = _parse_presets(data["cameras"], "cameras", _CAMERA_FIELDS,
+                                 CAMERA_PRESETS, CameraModel, "camera")
 
     cell_size = _get(data, "cell_size", float, "scenario", 10.0)
     offset = _get(data, "offset", float, "scenario", 75.0)

@@ -83,12 +83,14 @@ class TerrainGrid:
             & (np.asarray(y) >= ymin) & (np.asarray(y) <= ymax)
 
     def describe(self) -> str:
-        zmin = float(np.min(self.elevations))
-        zmax = float(np.max(self.elevations))
+        """One line of size, corner, valid elevation range and nodata."""
+        valid = self.elevations[self.elevations != self.nodata]
+        span = (f"elevation {self.min_elevation:g}..{valid.max():g} m"
+                if valid.size else "no valid elevation")
         return (
             f"{self.ncols}x{self.nrows} cells at {self.cell_size:g} m, "
             f"lower-left corner ({self.xllcorner:g}, {self.yllcorner:g}), "
-            f"elevation {zmin:g}..{zmax:g} m, nodata {self.nodata:g}"
+            f"{span}, nodata {self.nodata:g}"
         )
 
 

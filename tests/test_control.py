@@ -182,8 +182,6 @@ def test_clearance_margin():
         == pytest.approx(3.0 ** 2 / (2.0 * 2.8) + 1.0)
     assert clearance_margin(MAVIC, config) \
         == pytest.approx(2.0 ** 2 / (2.0 * 2.8) + 1.0)
-    fixed = MpcConfig(clearance_margin=7.0)
-    assert clearance_margin(M210, fixed) == 7.0
 
 
 def test_mpc_config_validation():
@@ -235,6 +233,15 @@ def test_mpc_recovers_from_below_floor_at_max_climb():
     assert plan[0].v_z == pytest.approx(float(v_z.max()))
     cost, feasible = evaluate_plan(plan, state, 0.0, grid, M210, config)
     assert feasible
+
+
+def test_mpc_ties_go_to_the_first_lattice_point():
+    # Without a speed reward every hover plan at goal clearance costs
+    # nothing; the planner keeps the first minimum in lattice order.
+    grid = flat_terrain(100.0)
+    state = UavState(x=0.0, y=0.0, z=155.0, heading=0.0, v_h=0.0, v_z=0.0)
+    plan = mpc_plan(state, 0.0, grid, M210, MpcConfig(speed_weight=0.0))
+    assert plan == [ControlInput(speed=0.0, incline=M210.incline_min)] * 5
 
 
 def test_mpc_infeasible_velocity_state():

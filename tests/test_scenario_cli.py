@@ -79,11 +79,12 @@ def test_terrain_path_relative_to_scenario(scenario_file, tmp_path, monkeypatch)
     (lambda d: d.update(seed=-3), "seed"),
     (lambda d: d["hedac"].update(solver_tolerance=1e-6), "hedac.solver_tolerance"),
     (lambda d: d["hedac"].update(max_iterations=5000), "hedac.max_iterations"),
+    (lambda d: d.update(mpc={"clearance_margin": 7.0}), "mpc.clearance_margin"),
 ], ids=["root-key", "hedac-key", "zone-key", "flight-key", "missing-id",
         "no-zones", "no-flights", "string-number", "float-duration",
         "bool-number", "zero-duration", "two-vertices", "dup-zones",
         "neg-offset", "neg-seed", "retired-solver-tolerance",
-        "retired-max-iterations"])
+        "retired-max-iterations", "retired-clearance-margin"])
 def test_scenario_rejects_bad_documents(scenario_file, mutate, fragment):
     path = scenario_file(mutate)
     with pytest.raises(ScenarioError) as err:
@@ -169,11 +170,15 @@ def test_uav_and_camera_sections(scenario_file):
     assert config.cameras["X5S"].fov_short_deg > 0
 
 
-def test_new_uav_must_be_complete(scenario_file):
-    path = scenario_file(lambda d: d.update(uavs={"Kite": {"v_h_max": 6.0}}))
+@pytest.mark.parametrize("section, name, fields, noun", [
+    ("uavs", "Kite", {"v_h_max": 6.0}, "vehicle"),
+    ("cameras", "Pinhole", {"x_image": 640}, "camera"),
+], ids=["uav", "camera"])
+def test_new_uav_must_be_complete(scenario_file, section, name, fields, noun):
+    path = scenario_file(lambda d: d.update({section: {name: fields}}))
     with pytest.raises(ScenarioError) as err:
         load_scenario(path)
-    assert "must define" in str(err.value)
+    assert f"{section}.{name}: new {noun} must define" in str(err.value)
 
 
 def test_recall_table_from_file(scenario_file, tmp_path):

@@ -37,6 +37,19 @@ def test_grid_validation():
                     nodata=-9999.0, elevations=bad)
 
 
+def test_describe_skips_nodata():
+    elev = np.arange(16.0).reshape(4, 4)
+    elev[2, 1] = -9999.0
+    grid = TerrainGrid(ncols=4, nrows=4, xllcorner=0, yllcorner=0,
+                       cell_size=10, nodata=-9999.0, elevations=elev)
+    assert grid.describe() == ("4x4 cells at 10 m, lower-left corner (0, 0), "
+                               "elevation 0..15 m, nodata -9999")
+    empty = TerrainGrid(ncols=2, nrows=2, xllcorner=0, yllcorner=0,
+                        cell_size=10, nodata=-9999.0,
+                        elevations=np.full((2, 2), -9999.0))
+    assert "no valid elevation" in empty.describe()
+
+
 def test_extent_is_cell_center_hull():
     grid = flat_grid(ncols=4, nrows=3, cell=10.0, x0=100.0, y0=200.0)
     xmin, xmax, ymin, ymax = grid.extent
