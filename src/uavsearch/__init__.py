@@ -12,7 +12,7 @@ handles the detector-side evaluation.
 from .control import (UAV_PRESETS, ControlInput, MpcConfig, UavLimits, UavState,
                       clearance_margin, control_lattice, evaluate_plan,
                       kinematic_step, mpc_plan, ramp_displacement, ramp_toward,
-                      steer_heading, turn_rate_toward, validate_control, wrap_angle)
+                      turn_rate_toward, validate_control, wrap_angle)
 from .domain import (DensityGrid, DomainError, GridSpec, SearchDomain, Zone,
                      bilinear_on_grid, build_flight_domain, build_initial_density,
                      point_in_polygon, points_in_polygon, polygon_area,
@@ -34,8 +34,8 @@ from .sensing import (CAMERA_PRESETS, CameraModel, CameraPose, RecallTable,
                       SensingParams, default_recall_table, detection_rate,
                       detection_rate_footprint, format_recall_table, gsd,
                       in_fov, load_recall_table, recall_lookup, to_camera_frame)
-from .terrain import (HomePoint, TerrainGrid, elevation_at, line_of_sight,
-                      load_terrain, relative_height, save_terrain)
+from .terrain import (HomePoint, TerrainGrid, clear_rays, elevation_at,
+                      line_of_sight, load_terrain, relative_height, save_terrain)
 from .tiling import (BinRecall, BoxLabel, Detection, ImageMeta, TileRect,
                      TilingPlan, axis_offsets, gsd_bin, iou, match_detections,
                      plan_tiles, recall_per_bin, remap_labels, tile_name)
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "UAV_PRESETS", "ControlInput", "MpcConfig", "UavLimits", "UavState",
     "control_lattice", "evaluate_plan", "kinematic_step", "mpc_plan",
-    "clearance_margin", "ramp_displacement", "ramp_toward", "steer_heading",
+    "clearance_margin", "ramp_displacement", "ramp_toward",
     "turn_rate_toward", "validate_control", "wrap_angle",
     "DensityGrid", "DomainError", "GridSpec", "SearchDomain", "Zone", "bilinear_on_grid",
     "build_flight_domain", "build_initial_density", "point_in_polygon",
@@ -66,7 +66,7 @@ __all__ = [
     "SensingParams", "default_recall_table", "detection_rate",
     "detection_rate_footprint", "format_recall_table", "gsd", "in_fov",
     "load_recall_table", "recall_lookup", "to_camera_frame",
-    "HomePoint", "TerrainGrid", "elevation_at", "line_of_sight",
+    "HomePoint", "TerrainGrid", "clear_rays", "elevation_at", "line_of_sight",
     "load_terrain", "relative_height", "save_terrain",
     "BinRecall", "BoxLabel", "Detection", "ImageMeta", "TileRect",
     "TilingPlan", "axis_offsets", "gsd_bin", "iou", "match_detections",

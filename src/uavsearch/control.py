@@ -175,11 +175,11 @@ def validate_control(control: ControlInput, limits: UavLimits) -> None:
             )
 
 
-def steer_heading(heading: float, desired_dir, yaw_rate_max: float,
-                  dt: float) -> float:
-    """Rotate the heading toward a desired unit direction, capped at
-    yaw_rate_max * dt per call. An exact 180-degree disagreement turns
-    counter-clockwise."""
+def turn_rate_toward(heading: float, desired_dir, yaw_rate_max: float,
+                     dt: float) -> float:
+    """The turn rate that rotates the heading toward a desired unit
+    direction over dt, with the turn capped at yaw_rate_max * dt. An
+    exact 180-degree disagreement turns counter-clockwise."""
     target = math.atan2(float(desired_dir[1]), float(desired_dir[0]))
     delta = wrap_angle(target - heading)
     cap = yaw_rate_max * dt
@@ -187,13 +187,7 @@ def steer_heading(heading: float, desired_dir, yaw_rate_max: float,
         delta = cap
     elif delta < -cap:
         delta = -cap
-    return wrap_angle(heading + delta)
-
-
-def turn_rate_toward(heading: float, desired_dir, yaw_rate_max: float,
-                     dt: float) -> float:
-    """The turn rate that steer_heading would apply over dt."""
-    new_heading = steer_heading(heading, desired_dir, yaw_rate_max, dt)
+    new_heading = wrap_angle(heading + delta)
     return wrap_angle(new_heading - heading) / dt
 
 
@@ -315,9 +309,9 @@ def _stage_model(state: UavState, heading: float, grid: TerrainGrid,
       acceleration bounds, on scalars or arrays;
     * ramp_dz is the exact ramped first-stage climb of each lattice v_z;
     * floors[i] bounds the ground under any path reachable by stage i+1
-      at full speed (disc lookahead, truncated at the terrain extent)
-      plus min clearance and the safety margin, capped at the altitude
-      reachable by that stage;
+      at full speed (disc lookahead, truncated at the terrain extent,
+      nodata cells skipped) plus min clearance and the safety margin,
+      capped at the altitude reachable by that stage;
     * refs[i] is goal clearance above the ground expected at the current
       speed along the frozen heading.
     """
@@ -343,7 +337,8 @@ def _stage_model(state: UavState, heading: float, grid: TerrainGrid,
     r1 = int(np.searchsorted(ys, state.y + reach, side="right"))
     block = grid.elevations[r0:r1, c0:c1]
     bx, by = np.meshgrid(xs[c0:c1], ys[r0:r1])
-    dist = np.hypot(bx - state.x, by - state.y)
+    # Nodata cells may lie outside the flight domain; they bound nothing.
+    dist = np.where(block == grid.nodata, np.inf, np.hypot(bx - state.x, by - state.y))
 
     margin = clearance_margin(limits, config)
     floors = np.empty(steps)
@@ -356,11 +351,10 @@ def _stage_model(state: UavState, heading: float, grid: TerrainGrid,
 
     v_nominal = min(max(state.v_h, 0.0), limits.v_h_max)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
-    refs = np.empty(steps)
-    for i in range(steps):
-        px = min(max(state.x + cos_h * (i + 1) * dt * v_nominal, xmin), xmax)
-        py = min(max(state.y + sin_h * (i + 1) * dt * v_nominal, ymin), ymax)
-        refs[i] = terrain_mod.elevation_at(grid, px, py) + config.goal_clearance
+    k = np.arange(1, steps + 1)
+    px = np.clip(state.x + cos_h * k * dt * v_nominal, xmin, xmax)
+    py = np.clip(state.y + sin_h * k * dt * v_nominal, ymin, ymax)
+    refs = terrain_mod.elevation_at(grid, px, py) + config.goal_clearance
 
     # The executed first step must clear its floor with the velocity
     # still ramping, so stage 1 is gated on the exact ramped displacement.

@@ -304,21 +304,25 @@ def build_initial_density(zones, grid: GridSpec, total_people: int) -> DensityGr
 
 def _bilinear_support(grid: GridSpec, x, y):
     """Corner indices (j0, j1, i0, i1) and weights (tx, ty), as 1-d arrays,
-    of bilinear interpolation at clamped query points."""
-    xs = np.atleast_1d(np.clip(np.asarray(x, dtype=float),
-                               grid.x_origin + 0.5 * grid.cell_size,
-                               grid.x_origin + (grid.ncols - 0.5) * grid.cell_size))
-    ys = np.atleast_1d(np.clip(np.asarray(y, dtype=float),
-                               grid.y_origin + 0.5 * grid.cell_size,
-                               grid.y_origin + (grid.nrows - 0.5) * grid.cell_size))
-    fx = (xs - (grid.x_origin + 0.5 * grid.cell_size)) / grid.cell_size
-    fy = (ys - (grid.y_origin + 0.5 * grid.cell_size)) / grid.cell_size
-    i0 = np.clip(np.floor(fx).astype(int), 0, max(grid.ncols - 2, 0))
-    j0 = np.clip(np.floor(fy).astype(int), 0, max(grid.nrows - 2, 0))
+    of bilinear interpolation at clamped query points.
+
+    Clamps are np.minimum of np.maximum, which np.clip equals, without
+    its call overhead on the scalar and small queries of every step.
+    """
+    x0 = grid.x_origin + 0.5 * grid.cell_size
+    y0 = grid.y_origin + 0.5 * grid.cell_size
+    xs = np.minimum(np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), x0),
+                    grid.x_origin + (grid.ncols - 0.5) * grid.cell_size)
+    ys = np.minimum(np.maximum(np.atleast_1d(np.asarray(y, dtype=float)), y0),
+                    grid.y_origin + (grid.nrows - 0.5) * grid.cell_size)
+    fx = (xs - x0) / grid.cell_size
+    fy = (ys - y0) / grid.cell_size
+    i0 = np.minimum(np.maximum(np.floor(fx).astype(int), 0), max(grid.ncols - 2, 0))
+    j0 = np.minimum(np.maximum(np.floor(fy).astype(int), 0), max(grid.nrows - 2, 0))
     i1 = np.minimum(i0 + 1, grid.ncols - 1)
     j1 = np.minimum(j0 + 1, grid.nrows - 1)
-    tx = np.clip(fx - i0, 0.0, 1.0)
-    ty = np.clip(fy - j0, 0.0, 1.0)
+    tx = np.minimum(np.maximum(fx - i0, 0.0), 1.0)
+    ty = np.minimum(np.maximum(fy - j0, 0.0), 1.0)
     return j0, j1, i0, i1, tx, ty
 
 

@@ -82,8 +82,9 @@ def accumulate_coverage(state: FieldState, pose: CameraPose, camera: CameraModel
     """Add dt seconds of sensing from a pose (rectangle rule).
 
     Coverage gains detection_rate * dt per visible cell; the undetected
-    density is refreshed everywhere to keep undetected =
-    initial * exp(-coverage) exact.
+    density is refreshed on the footprint block, the only cells whose
+    coverage changes, to keep undetected = initial * exp(-coverage)
+    exact.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
@@ -91,7 +92,8 @@ def accumulate_coverage(state: FieldState, pose: CameraPose, camera: CameraModel
         pose, camera, grid, table, params, state.grid)
     if rates.size:
         state.coverage[rows, cols] += rates * dt
-    np.multiply(state.initial.values, np.exp(-state.coverage), out=state.undetected)
+        np.multiply(state.initial.values[rows, cols], np.exp(-state.coverage[rows, cols]),
+                    out=state.undetected[rows, cols])
 
 
 def accomplishment(state: FieldState) -> float:

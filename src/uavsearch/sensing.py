@@ -264,18 +264,14 @@ def detection_rate(pose: CameraPose, point_xy, camera: CameraModel,
     if not in_fov(camera, r):
         return 0.0
     ground = r[2] + pose.z
-    if not line_of_sight_clear(pose, (float(point_xy[0]), float(point_xy[1]), ground), grid):
+    if not terrain_mod.line_of_sight(grid, (pose.x, pose.y, pose.z),
+                                     (float(point_xy[0]), float(point_xy[1]), ground)):
         return 0.0
     height = -r[2]
     horizontal_gsd, _ = gsd(camera, height)
     recall = recall_lookup(table, horizontal_gsd)
     cos_off = height / float(np.linalg.norm(r))
     return params.rate_scale * recall * cos_off ** params.falloff_exponent
-
-
-def line_of_sight_clear(pose: CameraPose, ground_point, grid: TerrainGrid) -> bool:
-    return terrain_mod.line_of_sight(
-        grid, (pose.x, pose.y, pose.z), ground_point)
 
 
 def detection_rate_footprint(pose: CameraPose, camera: CameraModel,
@@ -327,10 +323,7 @@ def detection_rate_footprint(pose: CameraPose, camera: CameraModel,
     norms = np.sqrt(rx[rows, cols] ** 2 + ry[rows, cols] ** 2 + rz[rows, cols] ** 2)
     cos_off = depth[rows, cols] / norms
     values = params.rate_scale * recalls * cos_off ** params.falloff_exponent
-    for k in range(rows.size):
-        target = (float(block_x[rows[k], cols[k]]),
-                  float(block_y[rows[k], cols[k]]),
-                  float(ground[rows[k], cols[k]]))
-        if terrain_mod.line_of_sight(grid, (pose.x, pose.y, pose.z), target):
-            rates[rows[k], cols[k]] = values[k]
+    targets = np.stack([block_x[rows, cols], block_y[rows, cols], ground[rows, cols]], axis=1)
+    clear = terrain_mod.clear_rays(grid, (pose.x, pose.y, pose.z), targets)
+    rates[rows[clear], cols[clear]] = values[clear]
     return row_slice, col_slice, rates

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import GridSpec, _bilinear_support, _blend
 from .errors import TerrainError
 
 # Header keys of the ASCII grid format, in the order they must appear.
@@ -30,7 +31,8 @@ class TerrainGrid:
     Cells equal to nodata are carried through loading but any query
     whose bilinear support touches one raises TerrainError.
     min_elevation is the lowest valid elevation (inf when no cell is
-    valid), taken once at construction.
+    valid), and cells the GridSpec of the same cells, both derived once
+    at construction.
     """
 
     ncols: int
@@ -41,6 +43,7 @@ class TerrainGrid:
     nodata: float
     elevations: np.ndarray
     min_elevation: float = field(init=False, repr=False, compare=False)
+    cells: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ncols < 2 or self.nrows < 2:
@@ -57,6 +60,8 @@ class TerrainGrid:
         if data.size and not np.all(np.isfinite(data)):
             raise TerrainError("elevation grid contains non-finite values")
         self.min_elevation = float(data.min()) if data.size else math.inf
+        self.cells = GridSpec(x_origin=self.xllcorner, y_origin=self.yllcorner,
+                              cell_size=self.cell_size, ncols=self.ncols, nrows=self.nrows)
 
     @property
     def x_centers(self) -> np.ndarray:
@@ -174,22 +179,12 @@ def save_terrain(grid: TerrainGrid, path, fmt: str = "%.2f") -> None:
             fh.write("\n")
 
 
-def _support_corner(grid: TerrainGrid, x, y):
-    """Lower-left supporting cell (i0, j0) of bilinear queries at (x, y),
-    with the fractional cell coordinates (fx, fy)."""
-    fx = (x - (grid.xllcorner + 0.5 * grid.cell_size)) / grid.cell_size
-    fy = (y - (grid.yllcorner + 0.5 * grid.cell_size)) / grid.cell_size
-    i0 = np.clip(np.floor(fx).astype(int), 0, grid.ncols - 2)
-    j0 = np.clip(np.floor(fy).astype(int), 0, grid.nrows - 2)
-    return i0, j0, fx, fy
-
-
 def first_nodata_under(grid: TerrainGrid, rect) -> tuple[int, int] | None:
     """(row, col) of the first nodata cell that supports a query inside
     rect (xmin, xmax, ymin, ymax), or None when there is none."""
-    (c0, c1), (r0, r1), _, _ = _support_corner(grid, np.array(rect[:2]), np.array(rect[2:]))
-    bad = np.argwhere(grid.elevations[r0:r1 + 2, c0:c1 + 2] == grid.nodata)
-    return (int(bad[0][0]) + r0, int(bad[0][1]) + c0) if bad.size else None
+    j0, j1, i0, i1, _, _ = _bilinear_support(grid.cells, np.array(rect[:2]), np.array(rect[2:]))
+    bad = np.argwhere(grid.elevations[j0[0]:j1[1] + 1, i0[0]:i1[1] + 1] == grid.nodata)
+    return (int(bad[0][0] + j0[0]), int(bad[0][1] + i0[0])) if bad.size else None
 
 
 def elevation_at(grid: TerrainGrid, x, y):
@@ -211,25 +206,13 @@ def elevation_at(grid: TerrainGrid, x, y):
             f"{grid.extent}"
         )
 
-    i0, j0, fx, fy = _support_corner(grid, x, y)
-    tx = fx - i0
-    ty = fy - j0
-
-    z00 = grid.elevations[j0, i0]
-    z10 = grid.elevations[j0, i0 + 1]
-    z01 = grid.elevations[j0 + 1, i0]
-    z11 = grid.elevations[j0 + 1, i0 + 1]
-    support = np.stack([z00, z10, z01, z11])
-    if np.any(support == grid.nodata):
+    j0, j1, i0, i1, tx, ty = _bilinear_support(grid.cells, x, y)
+    e = grid.elevations
+    corners = (e[j0, i0], e[j0, i1], e[j1, i0], e[j1, i1])
+    if any(np.any(z == grid.nodata) for z in corners):
         raise TerrainError("query point supported by a nodata cell")
-
-    z = (
-        z00 * (1 - tx) * (1 - ty)
-        + z10 * tx * (1 - ty)
-        + z01 * (1 - tx) * ty
-        + z11 * tx * ty
-    )
-    return float(z[0]) if scalar else z.reshape(np.broadcast(x, y).shape)
+    z = _blend(*corners, tx, ty)
+    return float(z[0]) if scalar else z
 
 
 def relative_height(grid: TerrainGrid, position) -> float:
@@ -238,32 +221,47 @@ def relative_height(grid: TerrainGrid, position) -> float:
     return float(z) - elevation_at(grid, float(x), float(y))
 
 
-def line_of_sight(grid: TerrainGrid, p_from, p_to, step: float | None = None) -> bool:
-    """True when the straight segment from p_from to p_to clears the terrain.
+def clear_rays(grid: TerrainGrid, origin, targets, step: float | None = None,
+               ) -> np.ndarray:
+    """Line-of-sight verdicts from one 3D origin to each row of an (m, 3)
+    target array, as a boolean array of length m.
 
-    Both points are 3D. Sample points are spaced at most `step` apart
-    (default: half the grid cell size) and strictly between the
-    endpoints, so a target lying on the ground does not occlude itself
-    and the camera's own position is never tested. A sample passes when
-    its height is >= the interpolated ground elevation. The verdict is
-    symmetric in the two endpoints.
+    Each ray gets its own n = ceil(length / step) and is sampled at
+    t = j / n for 0 < j < n, so its samples are spaced at most `step`
+    apart (default: half the grid cell size) and lie strictly between
+    the endpoints: a target lying on the ground does not occlude itself
+    and the origin is never tested, and a ray shorter than `step` is
+    always clear. A sample passes when its height is >= the interpolated
+    ground elevation. The samples of all rays go through one
+    elevation_at call.
     """
     if step is None:
         step = 0.5 * grid.cell_size
     if not step > 0:
         raise TerrainError("line-of-sight step must be positive")
-    p0 = np.asarray(p_from, dtype=float)
-    p1 = np.asarray(p_to, dtype=float)
-    dist = float(np.linalg.norm(p1 - p0))
-    n = max(1, math.ceil(dist / step))
-    if n == 1:
-        return True
-    t = np.arange(1, n) / n
-    xs = p0[0] + t * (p1[0] - p0[0])
-    ys = p0[1] + t * (p1[1] - p0[1])
-    zs = p0[2] + t * (p1[2] - p0[2])
-    ground = elevation_at(grid, xs, ys)
-    return bool(np.all(zs >= ground))
+    p0 = np.asarray(origin, dtype=float)
+    delta = np.asarray(targets, dtype=float).reshape(-1, 3) - p0
+    n = np.maximum(1, np.ceil(np.linalg.norm(delta, axis=1) / step).astype(int))
+    counts = n - 1
+    ray = np.repeat(np.arange(n.size), counts)
+    first = np.cumsum(counts) - counts  # index of each ray's first sample
+    t = (np.arange(ray.size) - first[ray] + 1) / n[ray]
+    xs = p0[0] + t * delta[ray, 0]
+    ys = p0[1] + t * delta[ray, 1]
+    zs = p0[2] + t * delta[ray, 2]
+    passed = zs >= elevation_at(grid, xs, ys)
+    clear = np.ones(n.size, dtype=bool)
+    clear[ray[~passed]] = False
+    return clear
+
+
+def line_of_sight(grid: TerrainGrid, p_from, p_to, step: float | None = None) -> bool:
+    """True when the straight segment from p_from to p_to clears the terrain.
+
+    The one-ray case of clear_rays, with both points 3D. The verdict is
+    symmetric in the two endpoints.
+    """
+    return bool(clear_rays(grid, p_from, [p_to], step)[0])
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ from uavsearch import (UAV_PRESETS, ControlInput, ControlLimitError, MpcConfig,
                        MpcInfeasibleError, TerrainGrid, UavLimits, UavState,
                        clearance_margin, control_lattice, evaluate_plan,
                        kinematic_step, mpc_plan, ramp_displacement, ramp_toward,
-                       steer_heading, turn_rate_toward, validate_control,
-                       wrap_angle)
+                       turn_rate_toward, validate_control, wrap_angle)
 
 M210 = UAV_PRESETS["M210"]
 MAVIC = UAV_PRESETS["Mavic2ED"]
@@ -80,37 +79,40 @@ def test_validate_control_names_bound(control, limits, bound):
     assert bound in str(err.value)
 
 
-def test_steer_heading_caps_and_reaches():
+def test_turn_rate_toward_caps_at_yaw_rate():
     yaw_rate = math.radians(120.0)
-    # large disagreement: turn capped at yaw_rate * dt
-    h = steer_heading(0.0, (0.0, 1.0), yaw_rate, 0.5)
-    assert h == pytest.approx(yaw_rate * 0.5)
-    # small disagreement: reach the target exactly
-    h = steer_heading(0.2, (math.cos(0.4), math.sin(0.4)), yaw_rate, 0.5)
-    assert h == pytest.approx(0.4)
-    # negative direction turns clockwise
-    h = steer_heading(0.0, (math.cos(-0.3), math.sin(-0.3)), yaw_rate, 0.5)
-    assert h == pytest.approx(-0.3)
-
-
-def test_steer_heading_180_degree_tie_turns_ccw():
-    yaw_rate = math.radians(120.0)
-    h = steer_heading(0.0, (-1.0, 0.0), yaw_rate, 0.5)
-    assert h == pytest.approx(yaw_rate * 0.5)  # positive = counter-clockwise
-    h2 = steer_heading(1.0, (math.cos(1.0 + math.pi), math.sin(1.0 + math.pi)),
-                       yaw_rate, 0.5)
-    assert h2 == pytest.approx(1.0 + yaw_rate * 0.5)
-
-
-def test_turn_rate_toward_matches_steer():
+    # large disagreement: turn capped at yaw_rate
+    assert turn_rate_toward(0.0, (0.0, 1.0), yaw_rate, 0.5) == pytest.approx(yaw_rate)
+    # from any heading, the turn reaches the target or takes the full
+    # cap toward it
     yaw_rate = math.radians(90.0)
     for heading in (-2.0, 0.0, 1.3):
         for target in (-3.0, -0.5, 0.9, 2.8):
-            direction = (math.cos(target), math.sin(target))
-            rate = turn_rate_toward(heading, direction, yaw_rate, 0.5)
+            rate = turn_rate_toward(heading, (math.cos(target), math.sin(target)),
+                                    yaw_rate, 0.5)
             assert abs(rate) <= yaw_rate + 1e-12
-            assert steer_heading(heading, direction, yaw_rate, 0.5) \
-                == pytest.approx(wrap_angle(heading + rate * 0.5))
+            gap = wrap_angle(target - heading)
+            want = gap if abs(gap) <= 0.5 * yaw_rate else math.copysign(0.5 * yaw_rate, gap)
+            assert rate * 0.5 == pytest.approx(want, abs=1e-12)
+
+
+def test_turn_rate_toward_reaches_target():
+    yaw_rate = math.radians(120.0)
+    # small disagreement: reach the target exactly within dt
+    rate = turn_rate_toward(0.2, (math.cos(0.4), math.sin(0.4)), yaw_rate, 0.5)
+    assert 0.2 + rate * 0.5 == pytest.approx(0.4)
+    # negative direction turns clockwise
+    rate = turn_rate_toward(0.0, (math.cos(-0.3), math.sin(-0.3)), yaw_rate, 0.5)
+    assert rate * 0.5 == pytest.approx(-0.3)
+
+
+def test_turn_rate_toward_180_degree_tie_turns_ccw():
+    yaw_rate = math.radians(120.0)
+    rate = turn_rate_toward(0.0, (-1.0, 0.0), yaw_rate, 0.5)
+    assert rate == pytest.approx(yaw_rate)  # positive = counter-clockwise
+    rate = turn_rate_toward(1.0, (math.cos(1.0 + math.pi), math.sin(1.0 + math.pi)),
+                            yaw_rate, 0.5)
+    assert rate == pytest.approx(yaw_rate)
 
 
 def test_kinematic_step_analytic():
@@ -242,6 +244,23 @@ def test_mpc_ties_go_to_the_first_lattice_point():
     state = UavState(x=0.0, y=0.0, z=155.0, heading=0.0, v_h=0.0, v_z=0.0)
     plan = mpc_plan(state, 0.0, grid, M210, MpcConfig(speed_weight=0.0))
     assert plan == [ControlInput(speed=0.0, incline=M210.incline_min)] * 5
+
+
+def test_mpc_floors_skip_nodata_cells():
+    # A nodata cell, here a large sentinel at (405, 405), lies inside
+    # the stage-5 disc and off the reference line. Nodata may lie
+    # outside the flight domain, so it must not raise a floor: the plan
+    # equals the one over clean terrain.
+    grid = flat_terrain(100.0)
+    elev = grid.elevations.copy()
+    elev[60, 60] = 9999.0
+    holed = replace(grid, nodata=9999.0, elevations=elev)
+    config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
+    state = UavState(x=300.0, y=300.0, z=155.0, heading=0.0, v_h=10.0, v_z=0.0)
+    plan = mpc_plan(state, 0.0, holed, M210, config)
+    assert plan == mpc_plan(state, 0.0, grid, M210, config)
+    assert plan[0].v_h == pytest.approx(10.0)
+    assert plan[0].v_z == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mpc_infeasible_velocity_state():

@@ -169,6 +169,9 @@ def test_accomplishment_monotone_under_random_sensing():
         assert eta <= 1.0
         previous = eta
     assert previous > 0.0
+    # refreshing only the footprint blocks keeps every cell exact
+    np.testing.assert_array_equal(
+        state.undetected, state.initial.values * np.exp(-state.coverage))
 
 
 def test_accumulate_rejects_negative_dt():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from uavsearch import (HomePoint, TerrainError, TerrainGrid, elevation_at,
-                       line_of_sight, load_terrain, relative_height,
-                       save_terrain)
+from uavsearch import (HomePoint, TerrainError, TerrainGrid, bilinear_on_grid,
+                       clear_rays, elevation_at, line_of_sight, load_terrain,
+                       relative_height, save_terrain)
 
 
 def flat_grid(value=100.0, ncols=12, nrows=10, cell=10.0, x0=0.0, y0=0.0):
@@ -118,12 +118,47 @@ def test_elevation_bilinear_exact_on_linear_field():
     assert elevation_at(grid, xs[0], ys[0]) == pytest.approx(got[0], abs=1e-12)
 
 
+def test_elevation_matches_grid_interpolation_inside_hull():
+    # one bilinear kernel: on a grid with a non-zero origin, elevation_at
+    # equals bilinear_on_grid over the terrain's own cells, bit for bit,
+    # at random points, cell centers and the hull's edges and corners
+    rng = np.random.default_rng(21)
+    grid = TerrainGrid(ncols=9, nrows=6, xllcorner=-20.0, yllcorner=35.0,
+                       cell_size=2.5, nodata=-9999.0,
+                       elevations=rng.uniform(50, 150, size=(6, 9)))
+    xmin, xmax, ymin, ymax = grid.extent
+    X, Y = np.meshgrid(grid.x_centers, grid.y_centers)
+    xs = np.concatenate([rng.uniform(xmin, xmax, 300), X.ravel(),
+                         [xmin, xmax, xmin, xmax, xmin, 0.5 * (xmin + xmax)]])
+    ys = np.concatenate([rng.uniform(ymin, ymax, 300), Y.ravel(),
+                         [ymin, ymin, ymax, ymax, 0.5 * (ymin + ymax), ymax]])
+    np.testing.assert_array_equal(elevation_at(grid, xs, ys),
+                                  bilinear_on_grid(grid.cells, grid.elevations, xs, ys))
+    np.testing.assert_array_equal(elevation_at(grid, X, Y), grid.elevations)
+
+
 def test_elevation_outside_extent_raises():
     grid = flat_grid()
-    with pytest.raises(TerrainError):
+    with pytest.raises(TerrainError) as err:
         elevation_at(grid, -100.0, 50.0)
-    with pytest.raises(TerrainError):
+    assert str(err.value) == ("query point (-100, 50) outside terrain extent "
+                              "(5.0, 115.0, 5.0, 95.0)")
+    with pytest.raises(TerrainError) as err:
         elevation_at(grid, np.array([10.0, 1e6]), np.array([10.0, 10.0]))
+    assert str(err.value) == ("query point (1e+06, 10) outside terrain extent "
+                              "(5.0, 115.0, 5.0, 95.0)")
+
+
+def test_elevation_supported_by_nodata_raises():
+    elev = np.full((10, 12), 100.0)
+    elev[4, 6] = -9999.0  # center (65, 45)
+    grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
+                       cell_size=10.0, nodata=-9999.0, elevations=elev)
+    assert elevation_at(grid, 50.0, 30.0) == 100.0
+    for x, y in ((60.0, 40.0), (65.0, 45.0), (70.0, 50.0)):
+        with pytest.raises(TerrainError) as err:
+            elevation_at(grid, np.array([50.0, x]), np.array([30.0, y]))
+        assert str(err.value) == "query point supported by a nodata cell"
 
 
 def test_relative_height():
@@ -163,6 +198,7 @@ def test_line_of_sight_matches_dense_oracle_outside_grazing_band():
     # 1.71 times half the 2.5 m step, < 3 m here) the default verdict
     # must match the sign of the margin. Near-grazing cases are skipped.
     rng = np.random.default_rng(11)
+    extra = np.random.default_rng(12)
     ncols, nrows, cell = 40, 30, 5.0
     X, Y = np.meshgrid((np.arange(ncols) + 0.5) * cell,
                        (np.arange(nrows) + 0.5) * cell)
@@ -180,6 +216,13 @@ def test_line_of_sight_matches_dense_oracle_outside_grazing_band():
         pts = a[None, :] + ts[:, None] * (b - a)[None, :]
         margin = float(np.min(pts[:, 2] - elevation_at(grid, pts[:, 0], pts[:, 1])))
         verdict = line_of_sight(grid, tuple(a), tuple(b))
+        # the batched verdicts over rays of many lengths equal the scalar ones
+        targets = np.vstack([b, np.column_stack([extra.uniform(25, 190, 15),
+                                                 extra.uniform(5, 145, 15),
+                                                 extra.uniform(40, 95, 15)])])
+        np.testing.assert_array_equal(
+            clear_rays(grid, a, targets),
+            [line_of_sight(grid, tuple(a), tuple(t)) for t in targets])
         if margin > 3.0:
             assert verdict
             decided += 1
@@ -187,6 +230,26 @@ def test_line_of_sight_matches_dense_oracle_outside_grazing_band():
             assert not verdict
             decided += 1
     assert decided >= 20  # the sweep must actually exercise both branches
+
+
+def test_clear_rays_edge_cases():
+    grid = flat_grid(100.0)
+    origin = (20.0, 20.0, 150.0)
+    # a ray shorter than the step has no interior sample, so it is clear
+    # even with both ends under the ground
+    np.testing.assert_array_equal(
+        clear_rays(grid, (20.0, 20.0, 90.0), [(22.0, 21.0, 91.0)]), [True])
+    # a target on the ground does not occlude itself
+    np.testing.assert_array_equal(clear_rays(grid, origin, [(90.0, 60.0, 100.0)]), [True])
+    np.testing.assert_array_equal(
+        clear_rays(grid, origin, [(90.0, 60.0, 100.0), (90.0, 60.0, 20.0)]), [True, False])
+    empty = clear_rays(grid, origin, np.empty((0, 3)))
+    assert empty.shape == (0,) and empty.dtype == bool
+    with pytest.raises(TerrainError):
+        clear_rays(grid, origin, [(90.0, 60.0, 100.0)], step=0.0)
+    with pytest.raises(TerrainError) as err:
+        clear_rays(grid, origin, [(90.0, 60.0, 100.0), (200.0, 20.0, 100.0)])
+    assert "outside terrain extent" in str(err.value)
 
 
 def test_home_point():
