@@ -9,10 +9,10 @@ simulation validates the prediction, and a tiling/recall toolkit
 handles the detector-side evaluation.
 """
 
-from .control import (UAV_PRESETS, ControlInput, MpcConfig, UavLimits, UavState,
-                      clearance_margin, control_lattice, evaluate_plan,
-                      kinematic_step, mpc_plan, ramp_displacement, ramp_toward,
-                      turn_rate_toward, validate_control, wrap_angle)
+from .control import (UAV_PRESETS, ControlInput, MpcConfig, Planner, UavLimits,
+                      UavState, evaluate_plan, kinematic_step, mpc_plan,
+                      ramp_displacement, ramp_toward, turn_rate_toward,
+                      validate_control, wrap_angle)
 from .domain import (DensityGrid, DomainError, GridSpec, SearchDomain, Zone,
                      bilinear_on_grid, build_flight_domain, build_initial_density,
                      point_in_polygon, points_in_polygon, polygon_area,
@@ -43,9 +43,9 @@ from .tiling import (BinRecall, BoxLabel, Detection, ImageMeta, TileRect,
 __version__ = "0.1.0"
 
 __all__ = [
-    "UAV_PRESETS", "ControlInput", "MpcConfig", "UavLimits", "UavState",
-    "control_lattice", "evaluate_plan", "kinematic_step", "mpc_plan",
-    "clearance_margin", "ramp_displacement", "ramp_toward",
+    "UAV_PRESETS", "ControlInput", "MpcConfig", "Planner", "UavLimits",
+    "UavState", "evaluate_plan", "kinematic_step", "mpc_plan",
+    "ramp_displacement", "ramp_toward",
     "turn_rate_toward", "validate_control", "wrap_angle",
     "DensityGrid", "DomainError", "GridSpec", "SearchDomain", "Zone", "bilinear_on_grid",
     "build_flight_domain", "build_initial_density", "point_in_polygon",

@@ -59,43 +59,32 @@ def _out_dir(args, config) -> Path:
     return Path(f"{config.mission_id}_out")
 
 
-def read_labels(path: Path) -> list[BoxLabel]:
-    """Read "category x y w h" lines (normalized box per line)."""
+def _read_boxes(path: Path, n_fields: int, make) -> list:
+    """Read lines of an integer category and n_fields - 1 floats, skipping
+    blank and '#' lines, into make(category, *floats)."""
     out = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 5:
-            raise _fail_input(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
+        if len(parts) != n_fields:
+            raise _fail_input(f"{path}:{ln}: expected {n_fields} fields, got {len(parts)}")
         try:
-            out.append(BoxLabel(category=int(parts[0]),
-                                x_center=float(parts[1]), y_center=float(parts[2]),
-                                width=float(parts[3]), height=float(parts[4])))
+            out.append(make(int(parts[0]), *map(float, parts[1:])))
         except ValueError as exc:
             raise _fail_input(f"{path}:{ln}: {exc}") from exc
     return out
+
+
+def read_labels(path: Path) -> list[BoxLabel]:
+    """Read "category x y w h" lines (normalized box per line)."""
+    return _read_boxes(path, 5, BoxLabel)
 
 
 def read_detections(path: Path) -> list[Detection]:
     """Read "category x y w h confidence" lines."""
-    out = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise _fail_input(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
-        try:
-            out.append(Detection(category=int(parts[0]),
-                                 x_center=float(parts[1]), y_center=float(parts[2]),
-                                 width=float(parts[3]), height=float(parts[4]),
-                                 confidence=float(parts[5])))
-        except ValueError as exc:
-            raise _fail_input(f"{path}:{ln}: {exc}") from exc
-    return out
+    return _read_boxes(path, 6, Detection)
 
 
 def _cmd_simulate(args) -> int:

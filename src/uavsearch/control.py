@@ -245,7 +245,7 @@ class MpcConfig:
 
     min_clearance is the hard terrain floor (m above ground);
     goal_clearance the tracked height above ground. The planner adds
-    clearance_margin() to the floor.
+    Planner.margin to the floor.
     """
 
     min_clearance: float = 35.0
@@ -267,110 +267,136 @@ class MpcConfig:
             raise MpcInfeasibleError("planner weights must be >= 0")
 
 
-def clearance_margin(limits: UavLimits, config: MpcConfig) -> float:
-    """Safety margin added to the terrain floor inside the planner."""
-    pull_up = 0.0
-    if limits.a_v_max > 0 and limits.v_z_min < 0:
-        pull_up = limits.v_z_min ** 2 / (2.0 * limits.a_v_max)
-    return pull_up + config.altitude_bucket
+class Planner:
+    """What the planner needs that depends only on the vehicle limits and
+    the planner configuration, built once per flight.
 
-
-def control_lattice(limits: UavLimits, config: MpcConfig
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Feasible (speed, incline) lattice points and their velocities.
-
-    Speeds span [0, v_h_max] and inclines the vehicle's incline range;
-    points whose horizontal or vertical velocity leaves the envelope are
-    dropped. Order is deterministic (speed-major)."""
-    speeds = np.linspace(0.0, limits.v_h_max, config.speed_levels)
-    inclines = np.linspace(limits.incline_min, limits.incline_max,
-                           config.incline_levels)
-    sp, inc = np.meshgrid(speeds, inclines, indexing="ij")
-    sp = sp.ravel()
-    inc = inc.ravel()
-    v_h = sp * np.cos(inc)
-    v_z = sp * np.sin(inc)
-    ok = (
-        (v_h >= limits.v_h_min - _EPS) & (v_h <= limits.v_h_max + _EPS)
-        & (v_z >= limits.v_z_min - _EPS) & (v_z <= limits.v_z_max + _EPS)
-    )
-    if not np.any(ok):
-        raise MpcInfeasibleError("control lattice has no point inside the velocity bounds")
-    return sp[ok], inc[ok], v_h[ok], v_z[ok]
-
-
-def _stage_model(state: UavState, heading: float, grid: TerrainGrid,
-                 limits: UavLimits, config: MpcConfig):
-    """The planner's stage model, shared by mpc_plan and evaluate_plan.
-
-    Returns (dt, accel_ok, lattice, ramp_dz, floors, refs):
-
-    * accel_ok(dv_h, dv_z) tests one stage's velocity change against the
-      acceleration bounds, on scalars or arrays;
-    * ramp_dz is the exact ramped first-stage climb of each lattice v_z;
-    * floors[i] bounds the ground under any path reachable by stage i+1
-      at full speed (disc lookahead, truncated at the terrain extent,
-      nodata cells skipped) plus min clearance and the safety margin,
-      capped at the altitude reachable by that stage;
-    * refs[i] is goal clearance above the ground expected at the current
-      speed along the frozen heading.
+    speeds, inclines, v_h and v_z are the control lattice in speed-major
+    order: speeds span [0, v_h_max], inclines the vehicle's incline
+    range, and points outside the velocity envelope are dropped.
+    allowed[prev, next] holds where accel_ok admits next after prev; its
+    distinct columns are pred_sets, and pred_sets[:, set_of] == allowed.
+    Altitude lives on n_buckets buckets, half either side of the start;
+    dz_buckets is each control's climb per stage in buckets, src/src_out
+    the gather that shifts a stage's values by it. margin, one pull-up
+    distance plus one bucket, is added to the terrain floor.
     """
-    steps = limits.mpc_steps
-    dt = limits.mpc_horizon_s / steps
-    dv_h_lo, dv_h_hi = limits.a_h_min * dt - _EPS, limits.a_h_max * dt + _EPS
-    dv_z_lo, dv_z_hi = limits.a_v_min * dt - _EPS, limits.a_v_max * dt + _EPS
 
-    def accel_ok(dv_h, dv_z):
-        return ((dv_h >= dv_h_lo) & (dv_h <= dv_h_hi)
-                & (dv_z >= dv_z_lo) & (dv_z <= dv_z_hi))
+    def __init__(self, limits: UavLimits, config: MpcConfig):
+        self.limits = limits
+        self.config = config
+        steps = limits.mpc_steps
+        self.dt = dt = limits.mpc_horizon_s / steps
+        self._dv_h = (limits.a_h_min * dt - _EPS, limits.a_h_max * dt + _EPS)
+        self._dv_z = (limits.a_v_min * dt - _EPS, limits.a_v_max * dt + _EPS)
 
-    lattice = control_lattice(limits, config)
-    xmin, xmax, ymin, ymax = grid.extent
+        speeds = np.linspace(0.0, limits.v_h_max, config.speed_levels)
+        inclines = np.linspace(limits.incline_min, limits.incline_max,
+                               config.incline_levels)
+        sp, inc = np.meshgrid(speeds, inclines, indexing="ij")
+        sp = sp.ravel()
+        inc = inc.ravel()
+        v_h = sp * np.cos(inc)
+        v_z = sp * np.sin(inc)
+        ok = (
+            (v_h >= limits.v_h_min - _EPS) & (v_h <= limits.v_h_max + _EPS)
+            & (v_z >= limits.v_z_min - _EPS) & (v_z <= limits.v_z_max + _EPS)
+        )
+        if not np.any(ok):
+            raise MpcInfeasibleError("control lattice has no point inside the velocity bounds")
+        self.speeds, self.inclines, self.v_h, self.v_z = sp[ok], inc[ok], v_h[ok], v_z[ok]
+        self.speed_term = config.speed_weight * self.v_h
 
-    # Window of terrain cells around the vehicle, as wide as the last disc.
-    reach = steps * dt * limits.v_h_max + 0.75 * grid.cell_size
-    xs = grid.x_centers
-    ys = grid.y_centers
-    c0 = int(np.searchsorted(xs, state.x - reach, side="left"))
-    c1 = int(np.searchsorted(xs, state.x + reach, side="right"))
-    r0 = int(np.searchsorted(ys, state.y - reach, side="left"))
-    r1 = int(np.searchsorted(ys, state.y + reach, side="right"))
-    block = grid.elevations[r0:r1, c0:c1]
-    bx, by = np.meshgrid(xs[c0:c1], ys[r0:r1])
-    # Nodata cells may lie outside the flight domain; they bound nothing.
-    dist = np.where(block == grid.nodata, np.inf, np.hypot(bx - state.x, by - state.y))
+        self.allowed = self.accel_ok(self.v_h[None, :] - self.v_h[:, None],
+                                     self.v_z[None, :] - self.v_z[:, None])
+        sets: dict[bytes, int] = {}
+        self.set_of = np.array([sets.setdefault(column.tobytes(), len(sets))
+                                for column in self.allowed.T])
+        self.pred_sets = self.allowed[:, np.unique(self.set_of, return_index=True)[1]]
 
-    margin = clearance_margin(limits, config)
-    floors = np.empty(steps)
-    for i in range(steps):
-        radius = (i + 1) * dt * limits.v_h_max + 0.75 * grid.cell_size
-        nearby = block[dist <= radius]
-        if nearby.size == 0:
-            nearby = np.array([terrain_mod.elevation_at(grid, state.x, state.y)])
-        floors[i] = float(nearby.max()) + config.min_clearance + margin
+        bucket = config.altitude_bucket
+        self.dz_buckets = np.rint(self.v_z * dt / bucket).astype(int)
+        self.half = steps * int(np.max(np.abs(self.dz_buckets)))
+        self.n_buckets = 2 * self.half + 1
+        self.z_offsets = (np.arange(self.n_buckets) - self.half) * bucket
+        self.first_bucket = self.half + self.dz_buckets
+        src = np.arange(self.n_buckets) - self.dz_buckets[:, None]
+        self.src_out = (src < 0) | (src >= self.n_buckets)
+        self.src = np.clip(src, 0, self.n_buckets - 1)
+        # [set, control, bucket] mask of one stage's reduction
+        self._set_mask = np.broadcast_to(self.pred_sets.T[:, :, None], (len(sets),) + src.shape)
 
-    v_nominal = min(max(state.v_h, 0.0), limits.v_h_max)
-    cos_h, sin_h = math.cos(heading), math.sin(heading)
-    k = np.arange(1, steps + 1)
-    px = np.clip(state.x + cos_h * k * dt * v_nominal, xmin, xmax)
-    py = np.clip(state.y + sin_h * k * dt * v_nominal, ymin, ymax)
-    refs = terrain_mod.elevation_at(grid, px, py) + config.goal_clearance
+        pull_up = 0.0
+        if limits.a_v_max > 0 and limits.v_z_min < 0:
+            pull_up = limits.v_z_min ** 2 / (2.0 * limits.a_v_max)
+        self.margin = pull_up + bucket
+        self._disc_reach = np.arange(1, steps + 1) * dt * limits.v_h_max
+        self._max_climb = np.arange(steps) * limits.v_z_max * dt
 
-    # The executed first step must clear its floor with the velocity
-    # still ramping, so stage 1 is gated on the exact ramped displacement.
-    ramp_dz = np.array([
-        ramp_displacement(state.v_z, float(v), limits.a_v_min,
-                          limits.a_v_max, dt) for v in lattice[3]])
-    # A start below a floor cannot be fixed within one stage; cap each
-    # floor at the best altitude reachable by then, which turns the
-    # constraint into max-rate climb recovery until compliance returns.
-    reachable = (state.z + float(ramp_dz.max())
-                 + np.arange(steps) * limits.v_z_max * dt)
-    return dt, accel_ok, lattice, ramp_dz, np.minimum(floors, reachable), refs
+    def accel_ok(self, dv_h, dv_z):
+        """Whether a stage's velocity change keeps to the acceleration bounds."""
+        return ((dv_h >= self._dv_h[0]) & (dv_h <= self._dv_h[1])
+                & (dv_z >= self._dv_z[0]) & (dv_z <= self._dv_z[1]))
+
+    def stages(self, state: UavState, heading: float, grid: TerrainGrid):
+        """The stage model of one replan, shared by mpc_plan and
+        evaluate_plan: (ramp_dz, floors, refs).
+
+        * ramp_dz is the exact ramped first-stage climb of each lattice
+          v_z;
+        * floors[i] bounds the ground under any path reachable by stage
+          i+1 at full speed (disc lookahead, truncated at the terrain
+          extent, nodata cells skipped) plus min clearance and the
+          safety margin, capped at the altitude reachable by that stage;
+        * refs[i] is goal clearance above the ground expected at the
+          current speed along the frozen heading.
+        """
+        limits, config, dt = self.limits, self.config, self.dt
+        steps = limits.mpc_steps
+        xmin, xmax, ymin, ymax = grid.extent
+
+        # Window of terrain cells around the vehicle, as wide as the last disc.
+        radii = self._disc_reach + 0.75 * grid.cell_size
+        reach = radii[-1]
+        xs = grid.x_centers
+        ys = grid.y_centers
+        c0 = int(np.searchsorted(xs, state.x - reach, side="left"))
+        c1 = int(np.searchsorted(xs, state.x + reach, side="right"))
+        r0 = int(np.searchsorted(ys, state.y - reach, side="left"))
+        r1 = int(np.searchsorted(ys, state.y + reach, side="right"))
+        block = grid.elevations[r0:r1, c0:c1]
+        bx, by = np.meshgrid(xs[c0:c1], ys[r0:r1])
+        # Nodata cells may lie outside the flight domain; they bound nothing.
+        dist = np.where(block == grid.nodata, np.inf, np.hypot(bx - state.x, by - state.y))
+
+        floors = np.empty(steps)
+        for i, radius in enumerate(radii):
+            nearby = block[dist <= radius]
+            if nearby.size == 0:
+                nearby = np.array([terrain_mod.elevation_at(grid, state.x, state.y)])
+            floors[i] = float(nearby.max()) + config.min_clearance + self.margin
+
+        v_nominal = min(max(state.v_h, 0.0), limits.v_h_max)
+        cos_h, sin_h = math.cos(heading), math.sin(heading)
+        k = np.arange(1, steps + 1)
+        px = np.clip(state.x + cos_h * k * dt * v_nominal, xmin, xmax)
+        py = np.clip(state.y + sin_h * k * dt * v_nominal, ymin, ymax)
+        refs = terrain_mod.elevation_at(grid, px, py) + config.goal_clearance
+
+        # The executed first step must clear its floor with the velocity
+        # still ramping, so stage 1 is gated on the exact ramped displacement.
+        ramp_dz = np.array([
+            ramp_displacement(state.v_z, float(v), limits.a_v_min,
+                              limits.a_v_max, dt) for v in self.v_z])
+        # A start below a floor cannot be fixed within one stage; cap each
+        # floor at the best altitude reachable by then, which turns the
+        # constraint into max-rate climb recovery until compliance returns.
+        reachable = state.z + float(ramp_dz.max()) + self._max_climb
+        return ramp_dz, np.minimum(floors, reachable), refs
 
 
 def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
-             limits: UavLimits, config: MpcConfig) -> list[ControlInput]:
+             planner: Planner) -> list[ControlInput]:
     """Plan speed/incline controls for the horizon; execute only the first.
 
     Minimizes sum_i [ -speed_weight * v_h_i
@@ -378,40 +404,31 @@ def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
     subject to the velocity envelope, per-step acceleration bounds and
     the stage floors, by exact dynamic programming over the control
     lattice and the altitude buckets. Each stage takes, for every
-    control and bucket at once, the minimum over the predecessors the
-    acceleration box allows, then shifts it by the control's climb. The
-    plan is walked back through the stored stage values; ties go to the
-    first minimum in lattice order, control-major then bucket. Raises
-    MpcInfeasibleError naming the binding constraint when no sequence
-    survives.
+    distinct predecessor set and bucket at once, the minimum over the
+    set's controls, gathers it back to the controls and shifts it by
+    each control's climb. The plan is walked back through the stored
+    stage values; ties go to the first minimum in lattice order,
+    control-major then bucket. Raises MpcInfeasibleError naming the
+    binding constraint when no sequence survives.
     """
-    dt, accel_ok, (speeds, inclines, v_h, v_z), ramp_dz, floors, refs = \
-        _stage_model(state, heading, grid, limits, config)
-    steps = limits.mpc_steps
-    n_controls = speeds.size
-    bucket = config.altitude_bucket
-    dz_buckets = np.rint(v_z * dt / bucket).astype(int)
-    half = steps * int(np.max(np.abs(dz_buckets)))
-    n_buckets = 2 * half + 1
-    z_values = state.z + (np.arange(n_buckets) - half) * bucket
-    speed_term = config.speed_weight * v_h
+    ramp_dz, floors, refs = planner.stages(state, heading, grid)
+    p = planner
+    weight = p.config.altitude_weight
+    z_values = state.z + p.z_offsets
 
-    first_ok = accel_ok(v_h - state.v_h, v_z - state.v_z)
+    first_ok = p.accel_ok(p.v_h - state.v_h, p.v_z - state.v_z)
     if not np.any(first_ok):
         raise MpcInfeasibleError(
             "no lattice control satisfies the acceleration bounds from "
-            f"(v_h={state.v_h:g}, v_z={state.v_z:g}) within {dt:g} s"
+            f"(v_h={state.v_h:g}, v_z={state.v_z:g}) within {p.dt:g} s"
         )
-    allowed = accel_ok(v_h[None, :] - v_h[:, None],
-                       v_z[None, :] - v_z[:, None])  # [prev, next]
 
     # Stage 1: each control lands in exactly one bucket.
-    first_b = half + dz_buckets
     ok = (first_ok & (state.z + ramp_dz >= floors[0] - _EPS)
-          & (z_values[first_b] >= floors[0] - _EPS))
-    value = np.full((n_controls, n_buckets), np.inf)
-    value[ok, first_b[ok]] = (-speed_term[ok] + config.altitude_weight
-                              * (z_values[first_b[ok]] - refs[0]) ** 2)
+          & (z_values[p.first_bucket] >= floors[0] - _EPS))
+    value = np.full((p.speeds.size, p.n_buckets), np.inf)
+    landing = p.first_bucket[ok]
+    value[ok, landing] = -p.speed_term[ok] + weight * (z_values[landing] - refs[0]) ** 2
     if not np.isfinite(value).any():
         raise MpcInfeasibleError(
             f"no feasible first step: altitude {state.z:.2f} m against the "
@@ -419,19 +436,15 @@ def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
             "acceleration limits"
         )
 
-    # Stages 2..N. Bucket b of control k is reached from bucket src[k, b]
-    # of the stage before; src_out marks shifts off the bucket range.
-    src = np.arange(n_buckets) - dz_buckets[:, None]
-    src_out = (src < 0) | (src >= n_buckets)
-    src = np.clip(src, 0, n_buckets - 1)
+    # Stages 2..N: one masked minimum per distinct predecessor set,
+    # gathered back to the controls and shifted by their climbs.
     values = [value]
-    for i in range(1, steps):
-        best_prev = np.min(
-            np.broadcast_to(value[:, None, :], (n_controls, n_controls, n_buckets)),
-            axis=0, where=allowed[:, :, None], initial=np.inf)
-        value = ((np.take_along_axis(best_prev, src, axis=1) - speed_term[:, None])
-                 + config.altitude_weight * (z_values - refs[i]) ** 2)
-        value[src_out | (z_values < floors[i] - _EPS)] = np.inf
+    for i in range(1, p.limits.mpc_steps):
+        best_of_set = np.min(np.broadcast_to(value, p._set_mask.shape), axis=1,
+                             where=p._set_mask, initial=np.inf)
+        value = ((best_of_set[p.set_of[:, None], p.src] - p.speed_term[:, None])
+                 + weight * (z_values - refs[i]) ** 2)
+        value[p.src_out | (z_values < floors[i] - _EPS)] = np.inf
         values.append(value)
         if not np.isfinite(value).any():
             raise MpcInfeasibleError(
@@ -439,32 +452,32 @@ def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
                 f"{floors[i]:.2f} m cannot be reached within the climb limits"
             )
 
-    k, b = divmod(int(np.argmin(value)), n_buckets)
+    k, b = divmod(int(np.argmin(value)), p.n_buckets)
     sequence = [k]
     for previous in reversed(values[:-1]):
-        b -= dz_buckets[k]
-        k = int(np.argmin(np.where(allowed[:, k], previous[:, b], np.inf)))
+        b -= p.dz_buckets[k]
+        k = int(np.argmin(np.where(p.allowed[:, k], previous[:, b], np.inf)))
         sequence.append(k)
     sequence.reverse()
-    return [ControlInput(speed=float(speeds[k]), incline=float(inclines[k]),
+    return [ControlInput(speed=float(p.speeds[k]), incline=float(p.inclines[k]),
                          turn_rate=0.0) for k in sequence]
 
 
 def evaluate_plan(controls, state: UavState, heading: float, grid: TerrainGrid,
-                  limits: UavLimits, config: MpcConfig) -> tuple[float, bool]:
+                  planner: Planner) -> tuple[float, bool]:
     """(cost, feasible) of a control sequence under the planner's model.
 
     Takes its stage floors, references and acceleration test from the
-    same stage model as mpc_plan, but walks the controls one by one with
+    same planner as mpc_plan, but walks the controls one by one with
     scalar snapped altitude steps, so exhaustive search over the lattice
     with this evaluator is an independent oracle for the planner's
     optimum.
     """
+    limits, config, dt = planner.limits, planner.config, planner.dt
     steps = limits.mpc_steps
     if len(controls) != steps:
         raise MpcInfeasibleError(f"plan must have {steps} controls")
-    dt, accel_ok, _, _, floors, refs = _stage_model(
-        state, heading, grid, limits, config)
+    _, floors, refs = planner.stages(state, heading, grid)
     bucket = config.altitude_bucket
 
     z = state.z
@@ -473,7 +486,7 @@ def evaluate_plan(controls, state: UavState, heading: float, grid: TerrainGrid,
     for i, control in enumerate(controls):
         validate_control(control, limits)
         vh, vz = control.v_h, control.v_z
-        if not accel_ok(vh - prev_vh, vz - prev_vz):
+        if not planner.accel_ok(vh - prev_vh, vz - prev_vz):
             return math.inf, False
         if i == 0:
             ramped = state.z + ramp_displacement(

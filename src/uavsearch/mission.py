@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .control import (ControlInput, MpcConfig, UavLimits, UavState,
+from .control import (ControlInput, MpcConfig, Planner, UavLimits, UavState,
                       kinematic_step, mpc_plan, ramp_toward, turn_rate_toward,
                       wrap_angle)
 from .domain import DensityGrid, SearchDomain, Zone, build_flight_domain, build_initial_density
@@ -280,9 +280,9 @@ def run_flight(field_state: FieldState, flight: FlightConfig, env: MissionEnv,
     replan = _replan_period(limits)
     # The planner keeps the flight's own minimum clearance; the logged
     # floor flag tracks the hard no-fly floor.
-    mpc_config = replace(env.config.mpc,
-                         min_clearance=max(NO_FLY_FLOOR, flight.min_altitude),
-                         goal_clearance=flight.goal_altitude)
+    planner = Planner(limits, replace(env.config.mpc,
+                                      min_clearance=max(NO_FLY_FLOOR, flight.min_altitude),
+                                      goal_clearance=flight.goal_altitude))
     solver = PotentialSolver(field_state.grid, env.config.hedac)
 
     grid_rect = env.domain.grid.rect
@@ -334,7 +334,7 @@ def run_flight(field_state: FieldState, flight: FlightConfig, env: MissionEnv,
         omega = 0.0 if direction is None else turn_rate_toward(
             state.heading, direction, limits.yaw_rate_max, SENSE_DT)
         if k % replan == 0:
-            plan = mpc_plan(state, state.heading, env.terrain, limits, mpc_config)
+            plan = mpc_plan(state, state.heading, env.terrain, planner)
             target_v_h, target_v_z = plan[0].v_h, plan[0].v_z
         for _ in range(substeps):
             prev = state

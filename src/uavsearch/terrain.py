@@ -31,8 +31,9 @@ class TerrainGrid:
     Cells equal to nodata are carried through loading but any query
     whose bilinear support touches one raises TerrainError.
     min_elevation is the lowest valid elevation (inf when no cell is
-    valid), and cells the GridSpec of the same cells, both derived once
-    at construction.
+    valid), has_nodata whether any cell holds nodata, and cells the
+    GridSpec of the same cells, all derived once at construction; the
+    grid keeps a read-only copy of elevations so they cannot go stale.
     """
 
     ncols: int
@@ -43,6 +44,7 @@ class TerrainGrid:
     nodata: float
     elevations: np.ndarray
     min_elevation: float = field(init=False, repr=False, compare=False)
+    has_nodata: bool = field(init=False, repr=False, compare=False)
     cells: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -50,7 +52,8 @@ class TerrainGrid:
             raise TerrainError("terrain grid needs at least 2x2 cells")
         if not self.cell_size > 0:
             raise TerrainError("terrain cell size must be positive")
-        self.elevations = np.asarray(self.elevations, dtype=float)
+        self.elevations = np.array(self.elevations, dtype=float)
+        self.elevations.flags.writeable = False
         if self.elevations.shape != (self.nrows, self.ncols):
             raise TerrainError(
                 f"elevation array shape {self.elevations.shape} does not match "
@@ -60,6 +63,7 @@ class TerrainGrid:
         if data.size and not np.all(np.isfinite(data)):
             raise TerrainError("elevation grid contains non-finite values")
         self.min_elevation = float(data.min()) if data.size else math.inf
+        self.has_nodata = data.size < self.elevations.size
         self.cells = GridSpec(x_origin=self.xllcorner, y_origin=self.yllcorner,
                               cell_size=self.cell_size, ncols=self.ncols, nrows=self.nrows)
 
@@ -209,7 +213,7 @@ def elevation_at(grid: TerrainGrid, x, y):
     j0, j1, i0, i1, tx, ty = _bilinear_support(grid.cells, x, y)
     e = grid.elevations
     corners = (e[j0, i0], e[j0, i1], e[j1, i0], e[j1, i1])
-    if any(np.any(z == grid.nodata) for z in corners):
+    if grid.has_nodata and any(np.any(z == grid.nodata) for z in corners):
         raise TerrainError("query point supported by a nodata cell")
     z = _blend(*corners, tx, ty)
     return float(z[0]) if scalar else z

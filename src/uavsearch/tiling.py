@@ -117,18 +117,10 @@ class BoxLabel:
 
 
 @dataclass(frozen=True)
-class Detection:
-    category: int
-    x_center: float
-    y_center: float
-    width: float
-    height: float
-    confidence: float
+class Detection(BoxLabel):
+    """A detector's box with its confidence score."""
 
-    def corners(self) -> tuple[float, float, float, float]:
-        hw, hh = 0.5 * self.width, 0.5 * self.height
-        return (self.x_center - hw, self.y_center - hh,
-                self.x_center + hw, self.y_center + hh)
+    confidence: float
 
 
 def remap_labels(labels: list[BoxLabel], tile: TileRect, image_width: int,

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from uavsearch import (UAV_PRESETS, ControlInput, ControlLimitError, MpcConfig,
-                       MpcInfeasibleError, TerrainGrid, UavLimits, UavState,
-                       clearance_margin, control_lattice, evaluate_plan,
-                       kinematic_step, mpc_plan, ramp_displacement, ramp_toward,
-                       turn_rate_toward, validate_control, wrap_angle)
+                       MpcInfeasibleError, Planner, TerrainGrid, UavLimits,
+                       UavState, evaluate_plan, kinematic_step, mpc_plan,
+                       ramp_displacement, ramp_toward, turn_rate_toward,
+                       validate_control, wrap_angle)
 
 M210 = UAV_PRESETS["M210"]
 MAVIC = UAV_PRESETS["Mavic2ED"]
@@ -165,7 +165,8 @@ def test_ramp_displacement_zero_rate_holds_current():
 
 def test_control_lattice_prunes_envelope():
     config = MpcConfig()
-    speeds, inclines, v_h, v_z = control_lattice(M210, config)
+    planner = Planner(M210, config)
+    speeds, inclines, v_h, v_z = planner.speeds, planner.inclines, planner.v_h, planner.v_z
     assert np.all(v_h >= -1e-9) and np.all(v_h <= 10.0 + 1e-9)
     assert np.all(v_z >= -3.0 - 1e-9) and np.all(v_z <= 5.0 + 1e-9)
     # full speed, level flight survives; full speed straight up does not
@@ -173,16 +174,17 @@ def test_control_lattice_prunes_envelope():
     assert not any(s == 10.0 and abs(i) == pytest.approx(math.pi / 2)
                    for s, i in zip(speeds, inclines))
     # deterministic ordering
-    again = control_lattice(M210, config)
-    for a, b in zip((speeds, inclines, v_h, v_z), again):
+    again = Planner(M210, config)
+    for a, b in zip((speeds, inclines, v_h, v_z),
+                    (again.speeds, again.inclines, again.v_h, again.v_z)):
         np.testing.assert_array_equal(a, b)
 
 
 def test_clearance_margin():
     config = MpcConfig(altitude_bucket=1.0)
-    assert clearance_margin(M210, config) \
+    assert Planner(M210, config).margin \
         == pytest.approx(3.0 ** 2 / (2.0 * 2.8) + 1.0)
-    assert clearance_margin(MAVIC, config) \
+    assert Planner(MAVIC, config).margin \
         == pytest.approx(2.0 ** 2 / (2.0 * 2.8) + 1.0)
 
 
@@ -201,7 +203,7 @@ def test_mpc_flat_terrain_cruises_at_goal():
     grid = flat_terrain(100.0)
     config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
     state = UavState(x=0.0, y=0.0, z=155.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, M210, config)
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, config))
     assert len(plan) == M210.mpc_steps
     for control in plan:
         validate_control(control, M210)
@@ -218,10 +220,10 @@ def test_mpc_climbs_before_a_wall():
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
     state = UavState(x=0.0, y=0.0, z=55.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, wall, M210, config)
+    plan = mpc_plan(state, 0.0, wall, Planner(M210, config))
     # the raised floor is unreachable within one stage, so recovery
     # climbs at the steepest rate the control lattice offers
-    _, _, _, v_z = control_lattice(M210, config)
+    v_z = Planner(M210, config).v_z
     assert plan[0].v_z == pytest.approx(float(v_z.max()))
     assert plan[0].v_z == pytest.approx(5.0)  # the vertical-climb lattice point
 
@@ -230,10 +232,10 @@ def test_mpc_recovers_from_below_floor_at_max_climb():
     grid = flat_terrain(100.0)
     config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
     state = UavState(x=0.0, y=0.0, z=110.0, heading=0.0, v_h=0.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, M210, config)
-    speeds, inclines, v_h, v_z = control_lattice(M210, MpcConfig())
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, config))
+    v_z = Planner(M210, MpcConfig()).v_z
     assert plan[0].v_z == pytest.approx(float(v_z.max()))
-    cost, feasible = evaluate_plan(plan, state, 0.0, grid, M210, config)
+    cost, feasible = evaluate_plan(plan, state, 0.0, grid, Planner(M210, config))
     assert feasible
 
 
@@ -242,7 +244,7 @@ def test_mpc_ties_go_to_the_first_lattice_point():
     # nothing; the planner keeps the first minimum in lattice order.
     grid = flat_terrain(100.0)
     state = UavState(x=0.0, y=0.0, z=155.0, heading=0.0, v_h=0.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, M210, MpcConfig(speed_weight=0.0))
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig(speed_weight=0.0)))
     assert plan == [ControlInput(speed=0.0, incline=M210.incline_min)] * 5
 
 
@@ -257,8 +259,8 @@ def test_mpc_floors_skip_nodata_cells():
     holed = replace(grid, nodata=9999.0, elevations=elev)
     config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
     state = UavState(x=300.0, y=300.0, z=155.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, holed, M210, config)
-    assert plan == mpc_plan(state, 0.0, grid, M210, config)
+    plan = mpc_plan(state, 0.0, holed, Planner(M210, config))
+    assert plan == mpc_plan(state, 0.0, grid, Planner(M210, config))
     assert plan[0].v_h == pytest.approx(10.0)
     assert plan[0].v_z == pytest.approx(0.0, abs=1e-12)
 
@@ -267,7 +269,7 @@ def test_mpc_infeasible_velocity_state():
     grid = flat_terrain(0.0)
     state = UavState(x=0.0, y=0.0, z=55.0, heading=0.0, v_h=50.0, v_z=0.0)
     with pytest.raises(MpcInfeasibleError) as err:
-        mpc_plan(state, 0.0, grid, M210, MpcConfig())
+        mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig()))
     assert "acceleration" in str(err.value)
 
 
@@ -275,8 +277,8 @@ def test_mpc_deterministic():
     grid = flat_terrain(0.0)
     state = UavState(x=5.0, y=-3.0, z=60.0, heading=0.7, v_h=6.0, v_z=1.0)
     config = MpcConfig()
-    a = mpc_plan(state, 0.7, grid, M210, config)
-    b = mpc_plan(state, 0.7, grid, M210, config)
+    a = mpc_plan(state, 0.7, grid, Planner(M210, config))
+    b = mpc_plan(state, 0.7, grid, Planner(M210, config))
     assert a == b
 
 
@@ -301,15 +303,15 @@ ORACLE_CONFIG = MpcConfig(min_clearance=20.0, goal_clearance=40.0,
 
 
 def brute_force_plan(state, heading, grid, limits, config):
-    speeds, inclines, v_h, v_z = control_lattice(limits, config)
+    planner = Planner(limits, config)
     unique = {}
-    for s, i in zip(speeds, inclines):
+    for s, i in zip(planner.speeds, planner.inclines):
         key = (round(s * math.cos(i), 12), round(s * math.sin(i), 12))
         unique.setdefault(key, ControlInput(speed=float(s), incline=float(i)))
     controls = list(unique.values())
     best_cost, best_seq = math.inf, None
     for seq in itertools.product(controls, repeat=limits.mpc_steps):
-        cost, ok = evaluate_plan(list(seq), state, heading, grid, limits, config)
+        cost, ok = evaluate_plan(list(seq), state, heading, grid, planner)
         if ok and cost < best_cost - 1e-12:
             best_cost, best_seq = cost, seq
     return best_cost, best_seq
@@ -350,12 +352,12 @@ def test_mpc_matches_exhaustive_search(limits):
         want_cost, want_seq = brute_force_plan(
             state, state.heading, grid, limits, ORACLE_CONFIG)
         try:
-            plan = mpc_plan(state, state.heading, grid, limits, ORACLE_CONFIG)
+            plan = mpc_plan(state, state.heading, grid, Planner(limits, ORACLE_CONFIG))
         except MpcInfeasibleError:
             assert want_seq is None
             continue
         got_cost, feasible = evaluate_plan(
-            plan, state, state.heading, grid, limits, ORACLE_CONFIG)
+            plan, state, state.heading, grid, Planner(limits, ORACLE_CONFIG))
         assert feasible
         assert want_seq is not None
         assert got_cost == pytest.approx(want_cost, abs=1e-9)
@@ -363,14 +365,48 @@ def test_mpc_matches_exhaustive_search(limits):
     assert planned >= 7  # the sweep must mostly produce real plans
 
 
+@pytest.mark.parametrize("limits", [M210, MAVIC, ORACLE_LIMITS],
+                         ids=["M210", "Mavic2ED", "oracle"])
+def test_predecessor_sets_rebuild_allowed(limits):
+    planner = Planner(limits, MpcConfig())
+    np.testing.assert_array_equal(planner.pred_sets[:, planner.set_of], planner.allowed)
+    # the sets are distinct, so each stage reduces once per set
+    assert len({column.tobytes() for column in planner.pred_sets.T}) \
+        == planner.pred_sets.shape[1]
+
+
+def test_planner_reuse_matches_fresh_planner():
+    rng = np.random.default_rng(31)
+    config = MpcConfig(min_clearance=20.0, goal_clearance=40.0)
+    planners = {limits.name: Planner(limits, config) for limits in (M210, MAVIC)}
+    from uavsearch import elevation_at
+    for n in range(50):
+        limits = (M210, MAVIC)[n % 2]
+        grid = hilly_terrain(rng)
+        x, y = (float(v) for v in rng.uniform(180, 420, 2))
+        state = UavState(
+            x=x, y=y, z=float(elevation_at(grid, x, y) + rng.uniform(15, 90)),
+            heading=float(rng.uniform(-math.pi, math.pi)),
+            v_h=float(rng.uniform(0.0, limits.v_h_max)),
+            v_z=float(rng.uniform(limits.v_z_min, limits.v_z_max)),
+        )
+        outcomes = []
+        for planner in (planners[limits.name], Planner(limits, config)):
+            try:
+                outcomes.append(mpc_plan(state, state.heading, grid, planner))
+            except MpcInfeasibleError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
 def test_evaluate_plan_rejects_wrong_length_and_limit_breaks():
     grid = flat_terrain(0.0)
     state = UavState(x=0.0, y=0.0, z=60.0, heading=0.0, v_h=0.0, v_z=0.0)
     with pytest.raises(MpcInfeasibleError):
-        evaluate_plan([ControlInput(5.0, 0.0)], state, 0.0, grid, M210,
-                      MpcConfig())
+        evaluate_plan([ControlInput(5.0, 0.0)], state, 0.0, grid,
+                      Planner(M210, MpcConfig()))
     # jumping to full speed from rest overruns a_h_max * dt = 6 m/s:
     # the sequence evaluates infeasible instead of raising
     hard = [ControlInput(10.0, 0.0)] + [ControlInput(0.0, 0.0)] * 4
-    cost, ok = evaluate_plan(hard, state, 0.0, grid, M210, MpcConfig())
+    cost, ok = evaluate_plan(hard, state, 0.0, grid, Planner(M210, MpcConfig()))
     assert not ok and cost == math.inf

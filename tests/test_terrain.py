@@ -161,6 +161,19 @@ def test_elevation_supported_by_nodata_raises():
         assert str(err.value) == "query point supported by a nodata cell"
 
 
+def test_elevations_are_a_read_only_copy():
+    # has_nodata and min_elevation are derived once; an in-place edit of
+    # the caller's array or of the grid's must not leave them stale.
+    elev = np.full((10, 12), 100.0)
+    grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
+                       cell_size=10.0, nodata=-9999.0, elevations=elev)
+    elev[4, 6] = -9999.0
+    assert elevation_at(grid, 65.0, 45.0) == 100.0
+    with pytest.raises(ValueError):
+        grid.elevations[4, 6] = -9999.0
+    assert not grid.has_nodata and grid.min_elevation == 100.0
+
+
 def test_relative_height():
     grid = linear_grid()
     h = relative_height(grid, (20.0, 30.0, 100.0))
