@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("scenario", help="scenario JSON file")
     val.add_argument("--out", help="output directory (default <mission_id>_out)")
     val.add_argument("--targets", type=int, help="number of synthetic targets")
-    val.add_argument("--seed", type=int, help="random seed for target placement")
+    val.add_argument("--seed", type=int, help="target seed (default: monte_carlo.seed)")
     val.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a scenario value by dotted path")
     val.set_defaults(func=_cmd_validate)

@@ -357,15 +357,9 @@ class Planner:
 
         # Window of terrain cells around the vehicle, as wide as the last disc.
         radii = self._disc_reach + 0.75 * grid.cell_size
-        reach = radii[-1]
-        xs = grid.x_centers
-        ys = grid.y_centers
-        c0 = int(np.searchsorted(xs, state.x - reach, side="left"))
-        c1 = int(np.searchsorted(xs, state.x + reach, side="right"))
-        r0 = int(np.searchsorted(ys, state.y - reach, side="left"))
-        r1 = int(np.searchsorted(ys, state.y + reach, side="right"))
-        block = grid.elevations[r0:r1, c0:c1]
-        bx, by = np.meshgrid(xs[c0:c1], ys[r0:r1])
+        rows, cols = grid.cells.window(state.x, state.y, radii[-1])
+        block = grid.elevations[rows, cols]
+        bx, by = np.meshgrid(grid.x_centers[cols], grid.y_centers[rows])
         # Nodata cells may lie outside the flight domain; they bound nothing.
         dist = np.where(block == grid.nodata, np.inf, np.hypot(bx - state.x, by - state.y))
 

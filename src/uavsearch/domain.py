@@ -92,6 +92,15 @@ class GridSpec:
         row = min(int((y - self.y_origin) / self.cell_size), self.nrows - 1)
         return row, col
 
+    def window(self, x: float, y: float, reach: float) -> tuple[slice, slice]:
+        """Row and column slices of the cells whose centers lie within
+        reach of (x, y) along each axis."""
+        xs, ys = self.x_centers, self.y_centers
+        return (slice(int(np.searchsorted(ys, y - reach, side="left")),
+                      int(np.searchsorted(ys, y + reach, side="right"))),
+                slice(int(np.searchsorted(xs, x - reach, side="left")),
+                      int(np.searchsorted(xs, x + reach, side="right"))))
+
     def center_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell-center coordinate arrays of shape (nrows, ncols)."""
         return np.meshgrid(self.x_centers, self.y_centers)

@@ -22,11 +22,11 @@ class MpcInfeasibleError(UavSearchError):
 
 
 class SolverError(UavSearchError):
-    """The potential solve did not reach the requested residual."""
+    """Invalid potential-field parameters or a steering query outside the domain."""
 
 
 class MissionError(UavSearchError):
-    """Mission-level inconsistency detected while running a flight."""
+    """Bad mission input, found before the first step, or a failure during a run."""
 
 
 class TilingError(UavSearchError):

@@ -39,29 +39,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_flight_log_csv(log: FlightLog, path: Path) -> None:
-    write_csv(Path(path), list(log.columns), log.rows)
-
-
-def write_eta_csv(times: np.ndarray, eta: np.ndarray, path: Path) -> None:
-    write_csv(Path(path), ["t", "accomplishment"], zip(times, eta))
-
-
-def write_validation_csv(report: ValidationReport, path: Path) -> None:
-    write_csv(Path(path), ["t", "predicted", "empirical", "band_low", "band_high"],
-              zip(report.times, report.predicted, report.empirical,
-                  report.band_low, report.band_high))
-
-
-def write_targets_csv(report: ValidationReport, path: Path) -> None:
-    rows = []
-    for i, t in enumerate(report.targets):
-        rows.append((i, t.x, t.y, t.row, t.col, t.threshold,
-                     float("nan") if t.detect_time is None else t.detect_time))
-    write_csv(Path(path), ["index", "x", "y", "row", "col", "threshold", "detect_time"],
-              rows)
-
-
 def write_grid_pgm(grid: GridSpec, values: np.ndarray, path: Path,
                    maxval: int = 65535) -> None:
     """ASCII PGM (P2) of a cell grid, north row first, plus a JSON
@@ -130,8 +107,10 @@ def _export_mission(report: MissionReport, out: Path, summary: dict) -> list[Pat
         return path
 
     for log in report.logs:
-        write_flight_log_csv(log, record(out / f"flight_{log.flight_index}_log.csv"))
-    write_eta_csv(report.times, report.eta, record(out / "accomplishment.csv"))
+        write_csv(record(out / f"flight_{log.flight_index}_log.csv"), list(log.columns),
+                  log.rows)
+    write_csv(record(out / "accomplishment.csv"), ["t", "accomplishment"],
+              zip(report.times, report.eta))
     write_grid_pgm(report.domain.grid, report.field.coverage,
                    record(out / "coverage.pgm"))
     written.append(out / "coverage.json")
@@ -162,10 +141,14 @@ def export_validation(report: ValidationReport, out_dir: Path) -> list[Path]:
         "within_band": report.within_band,
     }
     written = _export_mission(report.mission, out, summary)
-    write_validation_csv(report, out / "validation.csv")
-    written.append(out / "validation.csv")
-    write_targets_csv(report, out / "targets.csv")
-    written.append(out / "targets.csv")
+    write_csv(out / "validation.csv", ["t", "predicted", "empirical", "band_low", "band_high"],
+              zip(report.times, report.predicted, report.empirical,
+                  report.band_low, report.band_high))
+    write_csv(out / "targets.csv", ["index", "x", "y", "row", "col", "threshold", "detect_time"],
+              ((i, t.x, t.y, t.row, t.col, t.threshold,
+                float("nan") if t.detect_time is None else t.detect_time)
+               for i, t in enumerate(report.targets)))
+    written += [out / "validation.csv", out / "targets.csv"]
     return written
 
 

@@ -36,13 +36,14 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .control import (ControlInput, MpcConfig, Planner, UavLimits, UavState,
-                      kinematic_step, mpc_plan, ramp_toward, turn_rate_toward,
-                      wrap_angle)
+from .control import (UAV_PRESETS, ControlInput, MpcConfig, Planner, UavLimits,
+                      UavState, kinematic_step, mpc_plan, ramp_toward,
+                      turn_rate_toward, wrap_angle)
 from .domain import DensityGrid, SearchDomain, Zone, build_flight_domain, build_initial_density
-from .errors import MissionError
+from .errors import MissionError, MpcInfeasibleError
 from .hedac import FieldState, HedacParams, PotentialSolver, accomplishment, accumulate_coverage, steering_gradient
-from .sensing import CameraModel, CameraPose, RecallTable, SensingParams
+from .sensing import (CAMERA_PRESETS, CameraModel, CameraPose, RecallTable, SensingParams,
+                      default_recall_table)
 from .terrain import TerrainGrid, elevation_at, first_nodata_under
 
 SENSE_DT = 1.0       # seconds between sensing / field / heading updates
@@ -75,7 +76,7 @@ class FlightConfig:
 @dataclass(frozen=True)
 class MonteCarloConfig:
     targets: int = 2000
-    seed: int | None = None
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,6 @@ class MissionConfig:
     mpc: MpcConfig = MpcConfig()
     uavs: dict[str, UavLimits] | None = None
     cameras: dict[str, CameraModel] | None = None
-    seed: int = 0
     monte_carlo: MonteCarloConfig = MonteCarloConfig()
 
 
@@ -169,24 +169,56 @@ class ValidationReport:
         return self.mission.times
 
 
-@dataclass
+@dataclass(frozen=True)
+class FlightSetup:
+    """A flight's resolved pieces. planner.limits is its vehicle; replan
+    is its replan period in sensing steps; start is its spawn state, or
+    None to continue from the previous flight's end state."""
+
+    config: FlightConfig
+    camera: CameraModel
+    planner: Planner
+    replan: int
+    start: UavState | None
+
+
+@dataclass(frozen=True)
 class MissionEnv:
-    """Resolved runtime pieces shared by the flights of one mission."""
+    """A mission checked and resolved once, before its first step."""
 
     config: MissionConfig
-    terrain: TerrainGrid
     domain: SearchDomain
     density: DensityGrid
     recall: RecallTable
-    uavs: dict[str, UavLimits]
-    cameras: dict[str, CameraModel]
+    solver: PotentialSolver
+    flights: tuple[FlightSetup, ...]
+
+
+def _spawn_state(flight: FlightConfig, terrain: TerrainGrid, domain: SearchDomain,
+                 index: int) -> UavState:
+    """At rest at goal clearance above the start, heading to the domain center."""
+    x, y = float(flight.start[0]), float(flight.start[1])
+    if not bool(domain.grid.contains(x, y)):
+        raise MissionError(f"flight {index}: start ({x:g}, {y:g}) outside the flight domain")
+    cx, cy = domain.center
+    heading = math.atan2(cy - y, cx - x) if (cx, cy) != (x, y) else 0.0
+    return UavState(x=x, y=y, z=elevation_at(terrain, x, y) + flight.goal_altitude,
+                    heading=wrap_angle(heading), v_h=0.0, v_z=0.0, t=0.0)
+
+
+def _replan_period(limits: UavLimits, where: str) -> int:
+    period = limits.mpc_horizon_s / limits.mpc_steps
+    rounded = round(period)
+    if abs(period - rounded) > 1e-9 or rounded < 1 \
+            or abs(rounded / SENSE_DT - round(rounded / SENSE_DT)) > 1e-9:
+        raise MissionError(
+            f"{where}: replan period {period:g} s must be a whole multiple of {SENSE_DT:g} s")
+    return int(rounded)
 
 
 def prepare_environment(config: MissionConfig) -> MissionEnv:
-    """Build the domain and initial density and resolve the presets."""
-    from .control import UAV_PRESETS
-    from .sensing import CAMERA_PRESETS, default_recall_table
-
+    """Check every input of the mission and resolve each flight's pieces,
+    so that a bad input in any flight fails before the first step."""
     domain = build_flight_domain(config.zones, config.offset, config.cell_size)
     xmin, xmax, ymin, ymax = config.terrain.extent
     gx0, gx1, gy0, gy1 = domain.grid.rect
@@ -206,13 +238,10 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
     total_people = sum(z.person_count for z in config.zones)
     density = build_initial_density(config.zones, domain.grid, total_people)
 
-    uavs = dict(UAV_PRESETS)
-    if config.uavs:
-        uavs.update(config.uavs)
-    cameras = dict(CAMERA_PRESETS)
-    if config.cameras:
-        cameras.update(config.cameras)
+    uavs = {**UAV_PRESETS, **(config.uavs or {})}
+    cameras = {**CAMERA_PRESETS, **(config.cameras or {})}
     zone_ids = {z.zone_id for z in config.zones}
+    setups = []
     for idx, flight in enumerate(config.flights):
         if flight.uav not in uavs:
             raise MissionError(f"flight {idx}: unknown vehicle preset {flight.uav!r}")
@@ -229,78 +258,63 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
                 f"min={flight.min_altitude:g}, goal={flight.goal_altitude:g}")
         if flight.duration_s < 0:
             raise MissionError(f"flight {idx}: negative duration")
-    recall = config.recall if config.recall is not None else default_recall_table()
-    return MissionEnv(config=config, terrain=config.terrain, domain=domain,
-                      density=density, recall=recall, uavs=uavs, cameras=cameras)
-
-
-def _initial_state(env: MissionEnv, flight: FlightConfig,
-                   carried: UavState | None, index: int) -> UavState:
-    if flight.start is None:
-        if carried is None:
+        if flight.start is None and idx == 0:
             raise MissionError(
-                f"flight {index} has start=None but there is no previous flight state")
-        return replace(carried, t=0.0)
-    x, y = float(flight.start[0]), float(flight.start[1])
-    if not bool(env.domain.grid.contains(x, y)):
-        raise MissionError(
-            f"flight {index}: start ({x:g}, {y:g}) outside the flight domain")
-    ground = elevation_at(env.terrain, x, y)
-    cx, cy = env.domain.center
-    heading = math.atan2(cy - y, cx - x) if (cx, cy) != (x, y) else 0.0
-    return UavState(x=x, y=y, z=ground + flight.goal_altitude,
-                    heading=wrap_angle(heading), v_h=0.0, v_z=0.0, t=0.0)
+                "flight 0 has start=None but there is no previous flight state")
+        start = None if flight.start is None else _spawn_state(
+            flight, config.terrain, domain, idx)
+        where = f"flight {idx} ({flight.uav})"
+        limits = uavs[flight.uav]
+        replan = _replan_period(limits, where)
+        # The planner keeps the flight's own minimum clearance; the logged
+        # floor flag tracks the hard no-fly floor.
+        mpc = replace(config.mpc, min_clearance=max(NO_FLY_FLOOR, flight.min_altitude),
+                      goal_clearance=flight.goal_altitude)
+        try:
+            planner = Planner(limits, mpc)
+        except MpcInfeasibleError as exc:
+            raise MpcInfeasibleError(f"{where}: {exc}") from exc
+        setups.append(FlightSetup(config=flight, camera=cameras[flight.camera],
+                                  planner=planner, replan=replan, start=start))
+    recall = config.recall if config.recall is not None else default_recall_table()
+    return MissionEnv(config=config, domain=domain, density=density, recall=recall,
+                      solver=PotentialSolver(domain.grid, config.hedac),
+                      flights=tuple(setups))
 
 
-def _replan_period(limits: UavLimits) -> int:
-    period = limits.mpc_horizon_s / limits.mpc_steps
-    rounded = round(period)
-    if abs(period - rounded) > 1e-9 or rounded < 1 \
-            or abs(rounded / SENSE_DT - round(rounded / SENSE_DT)) > 1e-9:
-        raise MissionError(
-            f"replan period {period:g} s must be a whole multiple of {SENSE_DT:g} s")
-    return int(rounded)
+def run_flight(field_state: FieldState, env: MissionEnv, index: int,
+               carried: UavState | None = None, base_time: float = 0.0,
+               observer=None) -> tuple[UavState, FlightLog, list[float], int]:
+    """Run flight index of env, mutating the shared field state.
 
-
-def run_flight(field_state: FieldState, flight: FlightConfig, env: MissionEnv,
-               carried: UavState | None = None, flight_index: int = 0,
-               base_time: float = 0.0, observer=None,
-               ) -> tuple[UavState, FlightLog, list[tuple[float, float]], int]:
-    """Run one flight, mutating the shared field state.
-
-    Returns (final vehicle state, log, accomplishment samples on the
-    mission 1 s grid, boundary clamp count). observer, if given, is
-    called as observer(mission_time, field_state) after every sensing
-    update. The potential is solved exactly from the field state at
-    every step, so the vehicle state and the field state are all that
-    connected flights carry over.
+    Returns (final vehicle state, log, accomplishment after each 1 s
+    sensing step, boundary clamp count). observer, if given, is called
+    as observer(mission_time, field_state) after every sensing update.
+    The potential is solved exactly from the field state at every step,
+    so the vehicle state and the field state are all that connected
+    flights carry over.
     """
-    limits = env.uavs[flight.uav]
-    camera = env.cameras[flight.camera]
-    replan = _replan_period(limits)
-    # The planner keeps the flight's own minimum clearance; the logged
-    # floor flag tracks the hard no-fly floor.
-    planner = Planner(limits, replace(env.config.mpc,
-                                      min_clearance=max(NO_FLY_FLOOR, flight.min_altitude),
-                                      goal_clearance=flight.goal_altitude))
-    solver = PotentialSolver(field_state.grid, env.config.hedac)
+    setup = env.flights[index]
+    flight, camera, planner = setup.config, setup.camera, setup.planner
+    limits = planner.limits
+    terrain = env.config.terrain
 
     grid_rect = env.domain.grid.rect
     half_cell = 0.5 * env.domain.grid.cell_size
     clamp_lo = (grid_rect[0] + half_cell, grid_rect[2] + half_cell)
     clamp_hi = (grid_rect[1] - half_cell, grid_rect[3] - half_cell)
 
-    state = _initial_state(env, flight, carried, flight_index)
-    log = FlightLog(flight_index=flight_index, uav=flight.uav, camera=flight.camera)
+    state = setup.start if setup.start is not None else replace(carried, t=0.0)
+    log = FlightLog(flight_index=index, uav=flight.uav, camera=flight.camera)
     eta_now = accomplishment(field_state)
-    eta_ticks: list[tuple[float, float]] = []
+    etas: list[float] = []
     clamp_events = 0
     substeps = int(round(SENSE_DT / KINEMATIC_DT))
     target_v_h, target_v_z = state.v_h, state.v_z
     omega = 0.0
 
     def log_row(s: UavState, prev: UavState | None) -> None:
-        ground = elevation_at(env.terrain, s.x, s.y)
+        ground = elevation_at(terrain, s.x, s.y)
         if s.z < ground:
             raise MissionError(
                 f"vehicle below ground at t={s.t:g}: z={s.z:.2f}, terrain={ground:.2f}")
@@ -323,18 +337,18 @@ def run_flight(field_state: FieldState, flight: FlightConfig, env: MissionEnv,
     log_row(state, None)
     for k in range(flight.duration_s):
         pose = CameraPose(x=state.x, y=state.y, z=state.z, yaw=state.heading)
-        accumulate_coverage(field_state, pose, camera, env.terrain,
+        accumulate_coverage(field_state, pose, camera, terrain,
                             env.recall, env.config.sensing, SENSE_DT)
         eta_now = accomplishment(field_state)
-        eta_ticks.append((base_time + k + 1, eta_now))
+        etas.append(eta_now)
         if observer is not None:
             observer(base_time + k + 1, field_state)
-        solver.refresh(field_state)
+        env.solver.refresh(field_state)
         direction = steering_gradient(field_state, (state.x, state.y))
         omega = 0.0 if direction is None else turn_rate_toward(
             state.heading, direction, limits.yaw_rate_max, SENSE_DT)
-        if k % replan == 0:
-            plan = mpc_plan(state, state.heading, env.terrain, planner)
+        if k % setup.replan == 0:
+            plan = mpc_plan(state, state.heading, terrain, planner)
             target_v_h, target_v_z = plan[0].v_h, plan[0].v_z
         for _ in range(substeps):
             prev = state
@@ -352,7 +366,7 @@ def run_flight(field_state: FieldState, flight: FlightConfig, env: MissionEnv,
                 clamp_events += 1
                 state = replace(state, x=clamped_x, y=clamped_y)
             log_row(state, prev)
-    return state, log, eta_ticks, clamp_events
+    return state, log, etas, clamp_events
 
 
 def run_mission(config: MissionConfig, observer=None) -> MissionReport:
@@ -360,24 +374,23 @@ def run_mission(config: MissionConfig, observer=None) -> MissionReport:
     env = prepare_environment(config)
     field_state = FieldState.from_density(env.density)
     logs: list[FlightLog] = []
-    eta_points: list[tuple[float, float]] = [(0.0, accomplishment(field_state))]
+    eta = [accomplishment(field_state)]
     clamp_total = 0
     violations = {"floor": 0, "velocity": 0, "acceleration": 0}
     carried: UavState | None = None
     base_time = 0.0
     for index, flight in enumerate(config.flights):
-        carried, log, eta_ticks, clamps = run_flight(
-            field_state, flight, env, carried, index, base_time, observer)
+        carried, log, etas, clamps = run_flight(
+            field_state, env, index, carried, base_time, observer)
         logs.append(log)
-        eta_points.extend(eta_ticks)
+        eta.extend(etas)
         clamp_total += clamps
         for key, count in log.violation_counts().items():
             violations[key] += count
         base_time += flight.duration_s
-    times = np.array([p[0] for p in eta_points])
-    eta = np.array([p[1] for p in eta_points])
-    return MissionReport(mission_id=config.mission_id, logs=logs, times=times,
-                         eta=eta, field=field_state, domain=env.domain,
+    return MissionReport(mission_id=config.mission_id, logs=logs,
+                         times=np.arange(len(eta), dtype=float), eta=np.array(eta),
+                         field=field_state, domain=env.domain,
                          density=env.density, clamp_events=clamp_total,
                          violations=violations)
 
@@ -467,12 +480,7 @@ def monte_carlo_validate(config: MissionConfig, targets: int | None = None,
     empirical detected fraction with the predicted accomplishment."""
     env = prepare_environment(config)
     count = targets if targets is not None else config.monte_carlo.targets
-    if seed is not None:
-        used_seed = seed
-    elif config.monte_carlo.seed is not None:
-        used_seed = config.monte_carlo.seed
-    else:
-        used_seed = config.seed
+    used_seed = seed if seed is not None else config.monte_carlo.seed
     tracker = TargetTracker(env.density, count, used_seed)
     report = run_mission(config, observer=tracker)
     empirical = tracker.detected_fraction(report.times)

@@ -173,10 +173,7 @@ def _parse_section(data, path: str, fields: dict, factory):
     kwargs = {}
     for key, kind in fields.items():
         if key in data:
-            if data[key] is None and key == "seed":
-                kwargs[key] = None
-            else:
-                kwargs[key] = _check_type(data[key], kind, f"{path}.{key}")
+            kwargs[key] = _check_type(data[key], kind, f"{path}.{key}")
     try:
         return factory(**kwargs)
     except Exception as exc:
@@ -187,7 +184,7 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
     """Validate a scenario document and build the mission configuration."""
     base_dir = Path(base_dir)
     _check_type(data, dict, "scenario")
-    _reject_unknown(data, ("mission_id", "terrain", "cell_size", "offset", "seed",
+    _reject_unknown(data, ("mission_id", "terrain", "cell_size", "offset",
                            "hedac", "sensing", "recall_table", "mpc", "zones",
                            "uavs", "cameras", "flights", "monte_carlo"), "scenario")
     mission_id = _get(data, "mission_id", str, "scenario")
@@ -241,14 +238,11 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
         raise ScenarioError("scenario.cell_size: must be positive")
     if offset < 0:
         raise ScenarioError("scenario.offset: must be >= 0")
-    seed = _get(data, "seed", int, "scenario", 0)
-    if seed < 0:
-        raise ScenarioError("scenario.seed: must be >= 0")
 
     return MissionConfig(
         mission_id=mission_id, terrain=terrain, zones=zones, flights=flights,
         offset=offset, cell_size=cell_size, hedac=hedac, sensing=sensing,
-        recall=recall, mpc=mpc, uavs=uavs, cameras=cameras, seed=seed,
+        recall=recall, mpc=mpc, uavs=uavs, cameras=cameras,
         monte_carlo=monte_carlo)
 
 

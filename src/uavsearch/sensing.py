@@ -290,14 +290,8 @@ def detection_rate_footprint(pose: CameraPose, camera: CameraModel,
     if max_depth <= 0:
         return slice(0, 0), slice(0, 0), np.zeros((0, 0))
     reach = math.hypot(max_depth * camera.half_tan_x, max_depth * camera.half_tan_y)
-    xs = cells.x_centers
-    ys = cells.y_centers
-    c0 = int(np.searchsorted(xs, pose.x - reach, side="left"))
-    c1 = int(np.searchsorted(xs, pose.x + reach, side="right"))
-    r0 = int(np.searchsorted(ys, pose.y - reach, side="left"))
-    r1 = int(np.searchsorted(ys, pose.y + reach, side="right"))
-    row_slice, col_slice = slice(r0, r1), slice(c0, c1)
-    block_x, block_y = np.meshgrid(xs[col_slice], ys[row_slice])
+    row_slice, col_slice = cells.window(pose.x, pose.y, reach)
+    block_x, block_y = np.meshgrid(cells.x_centers[col_slice], cells.y_centers[row_slice])
     rates = np.zeros(block_x.shape, dtype=float)
     if rates.size == 0:
         return row_slice, col_slice, rates

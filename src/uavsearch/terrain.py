@@ -23,7 +23,7 @@ from .errors import TerrainError
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TerrainGrid:
     """A cell-centered elevation grid.
 
@@ -32,8 +32,9 @@ class TerrainGrid:
     whose bilinear support touches one raises TerrainError.
     min_elevation is the lowest valid elevation (inf when no cell is
     valid), has_nodata whether any cell holds nodata, and cells the
-    GridSpec of the same cells, all derived once at construction; the
-    grid keeps a read-only copy of elevations so they cannot go stale.
+    GridSpec of the same cells, all derived once at construction. The
+    grid is frozen and keeps a read-only copy of elevations, so the
+    derived fields cannot go stale.
     """
 
     ncols: int
@@ -52,20 +53,22 @@ class TerrainGrid:
             raise TerrainError("terrain grid needs at least 2x2 cells")
         if not self.cell_size > 0:
             raise TerrainError("terrain cell size must be positive")
-        self.elevations = np.array(self.elevations, dtype=float)
-        self.elevations.flags.writeable = False
-        if self.elevations.shape != (self.nrows, self.ncols):
+        elevations = np.array(self.elevations, dtype=float)
+        elevations.flags.writeable = False
+        if elevations.shape != (self.nrows, self.ncols):
             raise TerrainError(
-                f"elevation array shape {self.elevations.shape} does not match "
+                f"elevation array shape {elevations.shape} does not match "
                 f"nrows={self.nrows}, ncols={self.ncols}"
             )
-        data = self.elevations[self.elevations != self.nodata]
+        data = elevations[elevations != self.nodata]
         if data.size and not np.all(np.isfinite(data)):
             raise TerrainError("elevation grid contains non-finite values")
-        self.min_elevation = float(data.min()) if data.size else math.inf
-        self.has_nodata = data.size < self.elevations.size
-        self.cells = GridSpec(x_origin=self.xllcorner, y_origin=self.yllcorner,
-                              cell_size=self.cell_size, ncols=self.ncols, nrows=self.nrows)
+        object.__setattr__(self, "elevations", elevations)
+        object.__setattr__(self, "min_elevation", float(data.min()) if data.size else math.inf)
+        object.__setattr__(self, "has_nodata", data.size < elevations.size)
+        object.__setattr__(self, "cells", GridSpec(
+            x_origin=self.xllcorner, y_origin=self.yllcorner, cell_size=self.cell_size,
+            ncols=self.ncols, nrows=self.nrows))
 
     @property
     def x_centers(self) -> np.ndarray:

@@ -101,6 +101,20 @@ def test_grid_spec_indexing():
     np.testing.assert_allclose(g.x_centers, [105.0, 115.0, 125.0, 135.0])
 
 
+def test_grid_spec_window_matches_center_distances():
+    g = GridSpec(x_origin=-35.0, y_origin=20.0, cell_size=7.5, ncols=23, nrows=17)
+    rng = np.random.default_rng(4)
+    for x, y, reach in zip(rng.uniform(-80, 200, 300), rng.uniform(-30, 200, 300),
+                           rng.uniform(0, 90, 300)):
+        rows, cols = g.window(x, y, reach)
+        assert np.array_equal(np.arange(g.nrows)[rows],
+                              np.flatnonzero(np.abs(g.y_centers - y) <= reach))
+        assert np.array_equal(np.arange(g.ncols)[cols],
+                              np.flatnonzero(np.abs(g.x_centers - x) <= reach))
+    # centers exactly at reach are inside
+    assert g.window(g.x_centers[5], g.y_centers[3], 7.5) == (slice(2, 5), slice(4, 7))
+
+
 def test_build_flight_domain_offset_and_rounding():
     zone = Zone("a", SQUARE, 5)
     dom = build_flight_domain([zone], offset=75.0, cell_size=10.0)

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavsearch import (UAV_PRESETS, CameraPose, DensityGrid, FieldState,
+from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraPose, DensityGrid, FieldState,
                        FlightConfig, GridSpec, HedacParams, MissionConfig, MissionError,
-                       MonteCarloConfig, TargetTracker, TerrainGrid, Zone,
+                       MonteCarloConfig, MpcInfeasibleError, TargetTracker, TerrainGrid, Zone,
                        binomial_band, build_initial_density,
                        detection_rate_footprint, elevation_at,
                        monte_carlo_validate, prepare_environment, run_mission)
@@ -38,7 +38,6 @@ def tiny_config(flights, mission_id="tiny", **kwargs):
         offset=50.0,
         cell_size=10.0,
         hedac=HedacParams(diffusion=2000.0, damping=1.0),
-        seed=5,
         monte_carlo=MonteCarloConfig(targets=300, seed=71),
     )
     defaults.update(kwargs)
@@ -90,7 +89,7 @@ def test_nodata_outside_the_domain_changes_nothing():
     assert got.logs[0].rows == want.logs[0].rows
     np.testing.assert_array_equal(got.eta, want.eta)
     env = prepare_environment(clean)
-    camera = env.cameras["X5S"]
+    camera = env.flights[0].camera
     for t, x, y, z, heading, *_ in want.logs[0].rows[::4]:
         pose = CameraPose(x=x, y=y, z=z, yaw=heading)
         a = detection_rate_footprint(pose, camera, clean.terrain, env.recall,
@@ -112,27 +111,38 @@ def test_nodata_under_the_domain_fails_at_load():
 
 def test_custom_presets_resolved():
     slow = replace(UAV_PRESETS["M210"], name="Slow", v_h_max=4.0)
-    config = tiny_config([one_flight(uav="Slow")], uavs={"Slow": slow})
+    wide = replace(CAMERA_PRESETS["X5S"], name="Wide", x_image=1000)
+    config = tiny_config([one_flight(uav="Slow", camera="Wide"),
+                          one_flight(start=None, min_altitude=40.0)],
+                         uavs={"Slow": slow}, cameras={"Wide": wide})
     env = prepare_environment(config)
-    assert env.uavs["Slow"].v_h_max == 4.0
-    assert "M210" in env.uavs  # presets remain available
+    first, second = env.flights
+    assert first.planner.limits is slow and first.camera is wide
+    # presets remain available
+    assert second.planner.limits is UAV_PRESETS["M210"]
+    assert second.camera is CAMERA_PRESETS["X5S"]
+    assert first.planner.config.min_clearance == 35.0
+    assert second.planner.config.min_clearance == 40.0
+    assert second.planner.config.goal_clearance == 55.0
+    assert first.replan == second.replan == 3
 
 
 def test_initial_state_and_start_checks():
-    config = tiny_config([one_flight(start=(10.0, 10.0))])
+    config = tiny_config([one_flight(start=(10.0, 10.0)), one_flight(start=None)])
     env = prepare_environment(config)
-    from uavsearch.mission import _initial_state
-    state = _initial_state(env, config.flights[0], None, 0)
-    ground = elevation_at(env.terrain, 10.0, 10.0)
+    state = env.flights[0].start
+    ground = elevation_at(config.terrain, 10.0, 10.0)
     assert state.z == pytest.approx(ground + 55.0)
     cx, cy = env.domain.center
     assert state.heading == pytest.approx(math.atan2(cy - 10.0, cx - 10.0))
     assert state.v_h == 0.0 and state.v_z == 0.0 and state.t == 0.0
+    assert env.flights[1].start is None  # continues from flight 0
     with pytest.raises(MissionError) as err:
-        _initial_state(env, replace(config.flights[0], start=None), None, 0)
-    assert "no previous flight" in str(err.value)
-    with pytest.raises(MissionError):
-        _initial_state(env, replace(config.flights[0], start=(9e9, 0.0)), None, 0)
+        prepare_environment(tiny_config([one_flight(start=None)]))
+    assert "flight 0 has start=None but there is no previous flight state" in str(err.value)
+    with pytest.raises(MissionError) as err:
+        prepare_environment(tiny_config([one_flight(start=(9e9, 0.0))]))
+    assert "flight 0: start (9e+09, 0) outside the flight domain" in str(err.value)
 
 
 def test_replan_period_must_align_with_sensing():
@@ -141,7 +151,39 @@ def test_replan_period_must_align_with_sensing():
                          uavs={"Weird": weird})
     with pytest.raises(MissionError) as err:
         run_mission(config)
-    assert "replan period" in str(err.value)
+    assert "flight 0 (Weird): replan period 2.8 s must be a whole multiple of 1 s" \
+        in str(err.value)
+
+
+@pytest.mark.parametrize("last, fragment", [
+    (dict(start=(9e3, 10.0)), "flight 2: start (9000, 10) outside the flight domain"),
+    (dict(camera="NoSuchCam"), "flight 2: unknown camera preset 'NoSuchCam'"),
+    (dict(uav="Weird", start=None),
+     "flight 2 (Weird): replan period 2.8 s must be a whole multiple of 1 s"),
+], ids=["start-outside", "unknown-camera", "horizon-14s"])
+def test_bad_last_flight_fails_before_the_first_step(last, fragment):
+    weird = replace(UAV_PRESETS["M210"], name="Weird", mpc_horizon_s=14.0)
+    config = tiny_config([one_flight(duration=5), one_flight(duration=5, start=None),
+                          one_flight(duration=5, **last)], uavs={"Weird": weird})
+    with pytest.raises(MissionError) as err:
+        prepare_environment(config)
+    assert fragment in str(err.value)
+    calls = []
+    with pytest.raises(MissionError) as err:
+        run_mission(config, observer=lambda t, field: calls.append(t))
+    assert fragment in str(err.value)
+    assert calls == []
+
+
+def test_lattice_error_names_the_flight():
+    # level flight only, but every allowed climb rate is positive
+    stuck = replace(UAV_PRESETS["M210"], name="Stuck", incline_min_deg=0.0,
+                    incline_max_deg=0.0, v_z_min=1.0)
+    config = tiny_config([one_flight(), one_flight(uav="Stuck", start=None)],
+                         uavs={"Stuck": stuck})
+    with pytest.raises(MpcInfeasibleError) as err:
+        prepare_environment(config)
+    assert str(err.value).startswith("flight 1 (Stuck): control lattice has no point")
 
 
 def test_run_mission_log_grid_and_flags():
@@ -279,9 +321,7 @@ def test_monte_carlo_seed_priority():
     config = tiny_config([one_flight(duration=2)])
     assert monte_carlo_validate(config, targets=50).seed == 71
     assert monte_carlo_validate(config, targets=50, seed=9).seed == 9
-    bare = tiny_config([one_flight(duration=2)],
-                       monte_carlo=MonteCarloConfig(targets=50, seed=None))
-    assert monte_carlo_validate(bare, targets=50).seed == 5  # mission seed
+    assert MonteCarloConfig().seed == 0
 
 
 def test_tracker_input_validation():

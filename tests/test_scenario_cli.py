@@ -15,7 +15,6 @@ BASE_SCENARIO = {
     "terrain": "terrain.asc",
     "cell_size": 10.0,
     "offset": 50.0,
-    "seed": 5,
     "hedac": {"diffusion": 2000.0, "damping": 1.0},
     "zones": [{"id": "square", "person_count": 12,
                "polygon": [[0, 0], [200, 0], [200, 200], [0, 200]]}],
@@ -76,14 +75,15 @@ def test_terrain_path_relative_to_scenario(scenario_file, tmp_path, monkeypatch)
     (lambda d: d["zones"][0].update(polygon=[[0, 0], [1, 0]]), "zones.0"),
     (lambda d: d.update(zones=BASE_SCENARIO["zones"] * 2), "duplicate zone ids"),
     (lambda d: d.update(offset=-1), "offset"),
-    (lambda d: d.update(seed=-3), "seed"),
+    (lambda d: d.update(seed=-3), "unknown key(s): scenario.seed"),
+    (lambda d: d["monte_carlo"].update(seed=None), "monte_carlo.seed: expected an integer"),
     (lambda d: d["hedac"].update(solver_tolerance=1e-6), "hedac.solver_tolerance"),
     (lambda d: d["hedac"].update(max_iterations=5000), "hedac.max_iterations"),
     (lambda d: d.update(mpc={"clearance_margin": 7.0}), "mpc.clearance_margin"),
 ], ids=["root-key", "hedac-key", "zone-key", "flight-key", "missing-id",
         "no-zones", "no-flights", "string-number", "float-duration",
         "bool-number", "zero-duration", "two-vertices", "dup-zones",
-        "neg-offset", "neg-seed", "retired-solver-tolerance",
+        "neg-offset", "neg-seed", "null-seed", "retired-solver-tolerance",
         "retired-max-iterations", "retired-clearance-margin"])
 def test_scenario_rejects_bad_documents(scenario_file, mutate, fragment):
     path = scenario_file(mutate)
@@ -143,12 +143,10 @@ def test_load_scenario_with_overrides(scenario_file):
         "flights.0.duration_s=4",
         "hedac.diffusion=5000",
         "mission_id=renamed",
-        "monte_carlo.seed=null",
     ])
     assert config.flights[0].duration_s == 4
     assert config.hedac.diffusion == 5000.0
     assert config.mission_id == "renamed"
-    assert config.monte_carlo.seed is None
 
 
 def test_uav_and_camera_sections(scenario_file):

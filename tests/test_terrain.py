@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,19 @@ def test_elevations_are_a_read_only_copy():
     with pytest.raises(ValueError):
         grid.elevations[4, 6] = -9999.0
     assert not grid.has_nodata and grid.min_elevation == 100.0
+
+
+def test_terrain_grid_is_frozen():
+    # reassigning nodata would otherwise leave has_nodata stale
+    elev = np.full((10, 12), 100.0)
+    grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
+                       cell_size=10.0, nodata=-9999.0, elevations=elev)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.nodata = 100.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.elevations = np.zeros((10, 12))
+    assert grid.nodata == -9999.0 and not grid.has_nodata
+    assert elevation_at(grid, 65.0, 45.0) == 100.0
 
 
 def test_relative_height():

@@ -115,7 +115,6 @@ COMMON = dict(
     terrain="terrain.asc",
     cell_size=20.0,
     offset=75.0,
-    seed=17,
     hedac=dict(diffusion=50000.0, damping=1.0),
 )
 
