@@ -8,8 +8,11 @@ Four subcommands:
               ground-truth label files per tile
 * recall    - evaluate detection recall per ground-sampling-distance bin
 
-Exit codes: 0 success, 2 for usage and input problems (bad scenario,
-unreadable files, invalid geometry), 1 for failures during a run.
+Exit codes: 0 success; 2 for usage and input problems: any scenario
+key or value that fails at load (validate's --targets and --seed are
+monte_carlo overrides), unreadable files, invalid tiling geometry; 1 for
+failures during a run, including the mission checks that need the built
+flight domain (preset names, zone subsets, starts, terrain cover).
 Errors print as a single "uavsearch: error: ..." line on stderr.
 
 Label files use the plain text-per-image convention: one box per line,
@@ -45,12 +48,12 @@ def _fail_input(message: str) -> _CliError:
     return _CliError(message, _INPUT_ERRORS_EXIT)
 
 
-def _load_config(args) -> "MissionConfig":
+def _load_config(args, overrides=()) -> "MissionConfig":
+    """Load the scenario with the --set overrides, then overrides."""
     try:
-        config = load_scenario(args.scenario, overrides=args.set or [])
+        return load_scenario(args.scenario, overrides=[*(args.set or []), *overrides])
     except (UavSearchError, OSError) as exc:
         raise _fail_input(str(exc)) from exc
-    return config
 
 
 def _out_dir(args, config) -> Path:
@@ -106,15 +109,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args)
-    if args.targets is not None and args.targets < 1:
-        raise _fail_input("--targets must be >= 1")
-    if args.seed is not None and args.seed < 0:
-        raise _fail_input("--seed must be >= 0")
+    config = _load_config(args, [f"monte_carlo.{key}={value}"
+                                 for key, value in (("targets", args.targets),
+                                                    ("seed", args.seed))
+                                 if value is not None])
     out = _out_dir(args, config)
     started = time.perf_counter()
     try:
-        report = monte_carlo_validate(config, targets=args.targets, seed=args.seed)
+        report = monte_carlo_validate(config)
         export_validation(report, out)
     except UavSearchError as exc:
         raise _CliError(str(exc), _RUNTIME_ERRORS_EXIT) from exc
@@ -227,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                                           "accomplishment prediction")
     val.add_argument("scenario", help="scenario JSON file")
     val.add_argument("--out", help="output directory (default <mission_id>_out)")
-    val.add_argument("--targets", type=int, help="number of synthetic targets")
-    val.add_argument("--seed", type=int, help="target seed (default: monte_carlo.seed)")
+    val.add_argument("--targets", type=int, help="number of synthetic targets "
+                                                  "(sets monte_carlo.targets)")
+    val.add_argument("--seed", type=int, help="target seed (sets monte_carlo.seed)")
     val.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a scenario value by dotted path")
     val.set_defaults(func=_cmd_validate)

@@ -241,15 +241,11 @@ def ramp_displacement(current: float, target: float, rate_min: float,
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Planner configuration.
-
-    min_clearance is the hard terrain floor (m above ground);
-    goal_clearance the tracked height above ground. The planner adds
-    Planner.margin to the floor.
+    """Planner configuration that a scenario's mpc section can set: the
+    cost weights, the control lattice and the altitude bucket. The
+    clearances come from each flight and are given to the Planner.
     """
 
-    min_clearance: float = 35.0
-    goal_clearance: float = 55.0
     speed_weight: float = 1.0
     altitude_weight: float = 0.05
     speed_levels: int = 11
@@ -257,8 +253,6 @@ class MpcConfig:
     altitude_bucket: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.min_clearance < 0 or self.goal_clearance < self.min_clearance:
-            raise MpcInfeasibleError("clearances must satisfy 0 <= min <= goal")
         if self.speed_levels < 2 or self.incline_levels < 2:
             raise MpcInfeasibleError("control lattice needs at least 2 levels per axis")
         if not self.altitude_bucket > 0:
@@ -268,8 +262,10 @@ class MpcConfig:
 
 
 class Planner:
-    """What the planner needs that depends only on the vehicle limits and
-    the planner configuration, built once per flight.
+    """What the planner needs that depends only on the vehicle limits,
+    the planner configuration and the flight's clearances, built once
+    per flight. min_clearance is the hard terrain floor (m above
+    ground), goal_clearance the tracked height above ground.
 
     speeds, inclines, v_h and v_z are the control lattice in speed-major
     order: speeds span [0, v_h_max], inclines the vehicle's incline
@@ -282,9 +278,14 @@ class Planner:
     distance plus one bucket, is added to the terrain floor.
     """
 
-    def __init__(self, limits: UavLimits, config: MpcConfig):
+    def __init__(self, limits: UavLimits, config: MpcConfig, min_clearance: float,
+                 goal_clearance: float):
+        if not 0 <= min_clearance <= goal_clearance:
+            raise MpcInfeasibleError("clearances must satisfy 0 <= min <= goal")
         self.limits = limits
         self.config = config
+        self.min_clearance = min_clearance
+        self.goal_clearance = goal_clearance
         steps = limits.mpc_steps
         self.dt = dt = limits.mpc_horizon_s / steps
         self._dv_h = (limits.a_h_min * dt - _EPS, limits.a_h_max * dt + _EPS)
@@ -351,7 +352,7 @@ class Planner:
         * refs[i] is goal clearance above the ground expected at the
           current speed along the frozen heading.
         """
-        limits, config, dt = self.limits, self.config, self.dt
+        limits, dt = self.limits, self.dt
         steps = limits.mpc_steps
         xmin, xmax, ymin, ymax = grid.extent
 
@@ -368,14 +369,14 @@ class Planner:
             nearby = block[dist <= radius]
             if nearby.size == 0:
                 nearby = np.array([terrain_mod.elevation_at(grid, state.x, state.y)])
-            floors[i] = float(nearby.max()) + config.min_clearance + self.margin
+            floors[i] = float(nearby.max()) + self.min_clearance + self.margin
 
         v_nominal = min(max(state.v_h, 0.0), limits.v_h_max)
         cos_h, sin_h = math.cos(heading), math.sin(heading)
         k = np.arange(1, steps + 1)
         px = np.clip(state.x + cos_h * k * dt * v_nominal, xmin, xmax)
         py = np.clip(state.y + sin_h * k * dt * v_nominal, ymin, ymax)
-        refs = terrain_mod.elevation_at(grid, px, py) + config.goal_clearance
+        refs = terrain_mod.elevation_at(grid, px, py) + self.goal_clearance
 
         # The executed first step must clear its floor with the velocity
         # still ramping, so stage 1 is gated on the exact ramped displacement.

@@ -56,8 +56,9 @@ _FLAG_EPS = 1e-9
 class FlightConfig:
     """One flight of a mission.
 
-    min_altitude and goal_altitude are heights above ground in meters;
-    the effective hard floor is max(35, min_altitude). start is an
+    min_altitude and goal_altitude are heights above ground in meters,
+    with 35 <= min_altitude <= goal_altitude; the planner keeps
+    min_altitude as its hard floor. duration_s is at least 1. start is an
     (x, y) launch point or None to continue from the previous flight's
     end state. zone_ids optionally records which zones this flight was
     tasked with; it must be a subset of the mission zones and is kept as
@@ -72,11 +73,28 @@ class FlightConfig:
     start: tuple[float, float] | None = None
     zone_ids: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.duration_s < 1:
+            raise MissionError("duration_s must be >= 1 second")
+        if not NO_FLY_FLOOR <= self.min_altitude <= self.goal_altitude:
+            raise MissionError(
+                f"altitudes must satisfy {NO_FLY_FLOOR:g} <= min <= goal, got "
+                f"min={self.min_altitude:g}, goal={self.goal_altitude:g}")
+
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
+    """Synthetic targets of a validation: how many, and the Philox key
+    they are drawn from."""
+
     targets: int = 2000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.targets < 1:
+            raise MissionError("targets must be >= 1")
+        if not 0 <= self.seed < 2 ** 63:
+            raise MissionError("seed must be in [0, 2^63)")
 
 
 @dataclass(frozen=True)
@@ -252,12 +270,6 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
             if unknown:
                 raise MissionError(
                     f"flight {idx}: zone subset {sorted(unknown)} not in mission zones")
-        if not 35.0 <= flight.min_altitude <= flight.goal_altitude:
-            raise MissionError(
-                f"flight {idx}: altitudes must satisfy 35 <= min <= goal, got "
-                f"min={flight.min_altitude:g}, goal={flight.goal_altitude:g}")
-        if flight.duration_s < 0:
-            raise MissionError(f"flight {idx}: negative duration")
         if flight.start is None and idx == 0:
             raise MissionError(
                 "flight 0 has start=None but there is no previous flight state")
@@ -266,12 +278,8 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
         where = f"flight {idx} ({flight.uav})"
         limits = uavs[flight.uav]
         replan = _replan_period(limits, where)
-        # The planner keeps the flight's own minimum clearance; the logged
-        # floor flag tracks the hard no-fly floor.
-        mpc = replace(config.mpc, min_clearance=max(NO_FLY_FLOOR, flight.min_altitude),
-                      goal_clearance=flight.goal_altitude)
         try:
-            planner = Planner(limits, mpc)
+            planner = Planner(limits, config.mpc, flight.min_altitude, flight.goal_altitude)
         except MpcInfeasibleError as exc:
             raise MpcInfeasibleError(f"{where}: {exc}") from exc
         setups.append(FlightSetup(config=flight, camera=cameras[flight.camera],
@@ -407,12 +415,8 @@ class TargetTracker:
 
     MAX_REJECTION_DRAWS = 100_000
 
-    def __init__(self, density: DensityGrid, count: int, seed: int):
-        if count < 1:
-            raise MissionError("target count must be >= 1")
-        if not 0 <= seed < 2 ** 63:
-            raise MissionError("seed must be in [0, 2^63)")
-        self.seed = int(seed)
+    def __init__(self, density: DensityGrid, monte_carlo: MonteCarloConfig):
+        count, seed = monte_carlo.targets, monte_carlo.seed
         peak = float(density.values.max())
         if peak <= 0:
             raise MissionError("initial density is identically zero")
@@ -424,7 +428,7 @@ class TargetTracker:
         thresholds = np.empty(count)
         for j in range(count):
             gen = np.random.Generator(
-                np.random.Philox(key=np.array([self.seed, j], dtype=np.uint64)))
+                np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
             for _ in range(self.MAX_REJECTION_DRAWS):
                 x = gen.uniform(xmin, xmax)
                 y = gen.uniform(ymin, ymax)
@@ -477,18 +481,21 @@ def binomial_band(predicted: np.ndarray, count: int) -> tuple[np.ndarray, np.nda
 def monte_carlo_validate(config: MissionConfig, targets: int | None = None,
                          seed: int | None = None) -> ValidationReport:
     """Run a mission while tracking synthetic targets and compare the
-    empirical detected fraction with the predicted accomplishment."""
+    empirical detected fraction with the predicted accomplishment.
+    targets and seed, when given, replace those of config.monte_carlo."""
+    monte_carlo = config.monte_carlo
+    monte_carlo = replace(monte_carlo,
+                          targets=monte_carlo.targets if targets is None else targets,
+                          seed=monte_carlo.seed if seed is None else seed)
     env = prepare_environment(config)
-    count = targets if targets is not None else config.monte_carlo.targets
-    used_seed = seed if seed is not None else config.monte_carlo.seed
-    tracker = TargetTracker(env.density, count, used_seed)
+    tracker = TargetTracker(env.density, monte_carlo)
     report = run_mission(config, observer=tracker)
     empirical = tracker.detected_fraction(report.times)
-    band_low, band_high = binomial_band(report.eta, count)
+    band_low, band_high = binomial_band(report.eta, monte_carlo.targets)
     within = bool(np.all((empirical >= band_low - 1e-12)
                          & (empirical <= band_high + 1e-12)))
     return ValidationReport(mission=report, targets=tracker.targets(),
                             predicted=report.eta, empirical=empirical,
                             band_low=band_low, band_high=band_high,
-                            within_band=within, target_count=count,
-                            seed=used_seed)
+                            within_band=within, target_count=monte_carlo.targets,
+                            seed=monte_carlo.seed)

@@ -4,7 +4,10 @@ A scenario bundles everything a mission run needs: the terrain raster
 path, search zones with person counts, the flight plan, and optional
 parameter sections. Unknown keys anywhere are rejected with their
 dotted path so typos surface immediately instead of silently falling
-back to defaults.
+back to defaults. The keys of the sections uavs, cameras, hedac,
+sensing, mpc and monte_carlo are the number fields of their config
+dataclasses, and each dataclass checks its own values; this module
+only adds the dotted path to its errors.
 
 Command-line style overrides use dotted paths into the raw document,
 applied before validation, e.g.
@@ -21,30 +24,20 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .control import MpcConfig, UAV_PRESETS, UavLimits
 from .domain import Zone
-from .errors import ScenarioError
+from .errors import ScenarioError, UavSearchError
 from .hedac import HedacParams
 from .mission import FlightConfig, MissionConfig, MonteCarloConfig
 from .sensing import CAMERA_PRESETS, CameraModel, SensingParams, load_recall_table
 from .terrain import load_terrain
 
 _REQUIRED = object()
-
-_UAV_FIELDS = {
-    "incline_min_deg": float, "incline_max_deg": float,
-    "v_h_min": float, "v_h_max": float,
-    "v_z_min": float, "v_z_max": float,
-    "a_h_min": float, "a_h_max": float,
-    "a_v_min": float, "a_v_max": float,
-    "yaw_rate_max_deg": float, "mpc_steps": int, "mpc_horizon_s": float,
-}
-_CAMERA_FIELDS = {
-    "fov_short_deg": float, "fov_long_deg": float,
-    "x_image": int, "y_image": int,
-}
+# JSON kind of each field annotation a config section may carry
+_KINDS = {"float": float, "int": int}
 
 
 def _type_name(kind) -> str:
@@ -102,7 +95,7 @@ def _parse_zone(data, index: int) -> Zone:
         ))
     try:
         return Zone(zone_id=zone_id, polygon=tuple(vertices), person_count=count)
-    except Exception as exc:
+    except UavSearchError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -123,61 +116,50 @@ def _parse_flight(data, index: int) -> FlightConfig:
         _check_type(zone_ids, list, f"{path}.zones")
         zone_ids = tuple(_check_type(z, str, f"{path}.zones.{i}")
                          for i, z in enumerate(zone_ids))
-    duration = _get(data, "duration_s", int, path)
-    if duration < 1:
-        raise ScenarioError(f"{path}.duration_s: must be >= 1 second")
-    return FlightConfig(
+    values = dict(
         uav=_get(data, "uav", str, path),
         camera=_get(data, "camera", str, path),
         min_altitude=_get(data, "min_altitude", float, path),
         goal_altitude=_get(data, "goal_altitude", float, path),
-        duration_s=duration,
-        start=start,
-        zone_ids=zone_ids,
+        duration_s=_get(data, "duration_s", int, path),
     )
-
-
-def _parse_presets(data, path: str, fields: dict, presets: dict, factory,
-                   noun: str) -> dict:
-    """Parse a section of named presets: a known name overrides some
-    fields of the built-in preset, a new name must define every field."""
-    _check_type(data, dict, path)
-    out = {}
-    for name, given in data.items():
-        sub = f"{path}.{name}"
-        _check_type(given, dict, sub)
-        _reject_unknown(given, fields, sub)
-        values = {key: _check_type(given[key], kind, f"{sub}.{key}")
-                  for key, kind in fields.items() if key in given}
-        try:
-            if name in presets:
-                base = presets[name]
-                merged = {key: values.get(key, getattr(base, key)) for key in fields}
-                out[name] = factory(name=name, **merged)
-            else:
-                missing = sorted(set(fields) - set(values))
-                if missing:
-                    raise ScenarioError(
-                        f"{sub}: new {noun} must define {', '.join(missing)}")
-                out[name] = factory(name=name, **values)
-        except ScenarioError:
-            raise
-        except Exception as exc:
-            raise ScenarioError(f"{sub}: {exc}") from exc
-    return out
-
-
-def _parse_section(data, path: str, fields: dict, factory):
-    _check_type(data, dict, path)
-    _reject_unknown(data, fields, path)
-    kwargs = {}
-    for key, kind in fields.items():
-        if key in data:
-            kwargs[key] = _check_type(data[key], kind, f"{path}.{key}")
     try:
-        return factory(**kwargs)
-    except Exception as exc:
+        return FlightConfig(start=start, zone_ids=zone_ids, **values)
+    except UavSearchError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _build(cls, data, path: str, base=None, noun: str = "section", **fixed):
+    """Build the config dataclass cls from the JSON object data.
+
+    Its keys are the fields of cls not given in fixed, each a number of
+    the field's annotated kind. A key left out comes from base, if
+    given, or else from the field's default; a field with neither must
+    be given, as for a new noun. Errors of cls are reported under path.
+    """
+    _check_type(data, dict, path)
+    spec = {f.name: f for f in fields(cls) if f.name not in fixed}
+    _reject_unknown(data, spec, path)
+    values = {key: _check_type(data[key], _KINDS[f.type], f"{path}.{key}")
+              for key, f in spec.items() if key in data}
+    if base is not None:
+        values = {key: values.get(key, getattr(base, key)) for key in spec}
+    missing = [key for key, f in spec.items() if key not in values and f.default is MISSING]
+    if missing:
+        raise ScenarioError(f"{path}: new {noun} must define {', '.join(sorted(missing))}")
+    try:
+        return cls(**fixed, **values)
+    except UavSearchError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _parse_presets(data, path: str, presets: dict, cls, noun: str) -> dict:
+    """Parse a section of named presets, each named by its key: a known
+    name overrides some fields of the built-in preset, a new name must
+    define every field."""
+    _check_type(data, dict, path)
+    return {name: _build(cls, given, f"{path}.{name}", presets.get(name), noun, name=name)
+            for name, given in data.items()}
 
 
 def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
@@ -206,16 +188,10 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
         raise ScenarioError("scenario.flights: at least one flight is required")
     flights = tuple(_parse_flight(f, i) for i, f in enumerate(flights_data))
 
-    hedac = _parse_section(data.get("hedac", {}), "hedac", {
-        "diffusion": float, "damping": float}, HedacParams)
-    sensing = _parse_section(data.get("sensing", {}), "sensing", {
-        "rate_scale": float, "falloff_exponent": float}, SensingParams)
-    mpc = _parse_section(data.get("mpc", {}), "mpc", {
-        "speed_weight": float, "altitude_weight": float,
-        "speed_levels": int, "incline_levels": int,
-        "altitude_bucket": float}, MpcConfig)
-    monte_carlo = _parse_section(data.get("monte_carlo", {}), "monte_carlo", {
-        "targets": int, "seed": int}, MonteCarloConfig)
+    hedac = _build(HedacParams, data.get("hedac", {}), "hedac")
+    sensing = _build(SensingParams, data.get("sensing", {}), "sensing")
+    mpc = _build(MpcConfig, data.get("mpc", {}), "mpc")
+    monte_carlo = _build(MonteCarloConfig, data.get("monte_carlo", {}), "monte_carlo")
 
     recall = None
     if "recall_table" in data:
@@ -226,11 +202,10 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
 
     uavs = cameras = None
     if "uavs" in data:
-        uavs = _parse_presets(data["uavs"], "uavs", _UAV_FIELDS, UAV_PRESETS,
-                              UavLimits, "vehicle")
+        uavs = _parse_presets(data["uavs"], "uavs", UAV_PRESETS, UavLimits, "vehicle")
     if "cameras" in data:
-        cameras = _parse_presets(data["cameras"], "cameras", _CAMERA_FIELDS,
-                                 CAMERA_PRESETS, CameraModel, "camera")
+        cameras = _parse_presets(data["cameras"], "cameras", CAMERA_PRESETS, CameraModel,
+                                 "camera")
 
     cell_size = _get(data, "cell_size", float, "scenario", 10.0)
     offset = _get(data, "offset", float, "scenario", 75.0)

@@ -72,11 +72,11 @@ class TerrainGrid:
 
     @property
     def x_centers(self) -> np.ndarray:
-        return self.xllcorner + (np.arange(self.ncols) + 0.5) * self.cell_size
+        return self.cells.x_centers
 
     @property
     def y_centers(self) -> np.ndarray:
-        return self.yllcorner + (np.arange(self.nrows) + 0.5) * self.cell_size
+        return self.cells.y_centers
 
     @property
     def extent(self) -> tuple[float, float, float, float]:

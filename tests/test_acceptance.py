@@ -17,9 +17,9 @@ import pytest
 from scipy import stats
 
 from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraPose, DensityGrid,
-                       FieldState, GridSpec, HedacParams, PotentialSolver,
-                       SensingParams, TargetTracker, TerrainGrid, accumulate_coverage,
-                       binomial_band, default_recall_table, detection_rate,
+                       FieldState, GridSpec, HedacParams, MonteCarloConfig,
+                       PotentialSolver, SensingParams, TargetTracker, TerrainGrid,
+                       accumulate_coverage, binomial_band, default_recall_table, detection_rate,
                        elevation_at, gsd, plan_tiles, recall_lookup,
                        recall_per_bin, remap_labels, run_mission)
 from uavsearch.cli import main as cli_main
@@ -225,7 +225,7 @@ def test_06_detection_times_exponential(checklist):
     rate = detection_rate(pose, (pose.x, pose.y), camera, terrain, table,
                           SensingParams())
 
-    tracker = TargetTracker(density, count=2000, seed=42)
+    tracker = TargetTracker(density, MonteCarloConfig(targets=2000, seed=42))
     field = FieldState.from_density(density)
     for tick in range(1, 401):
         field.coverage[0, 0] += rate
@@ -438,7 +438,7 @@ def test_05x_monte_carlo_twenty_seeds(checklist, mission1_run):
     # same band check as the pinned seed, across twenty target draws;
     # one marginal excursion in twenty is within its own 3-sigma budget
     config, first, _ = mission1_run
-    trackers = [TargetTracker(first.density, count=2000, seed=seed)
+    trackers = [TargetTracker(first.density, MonteCarloConfig(targets=2000, seed=seed))
                 for seed in range(300, 320)]
 
     def observer(t, field):

@@ -165,7 +165,7 @@ def test_ramp_displacement_zero_rate_holds_current():
 
 def test_control_lattice_prunes_envelope():
     config = MpcConfig()
-    planner = Planner(M210, config)
+    planner = Planner(M210, config, 35.0, 55.0)
     speeds, inclines, v_h, v_z = planner.speeds, planner.inclines, planner.v_h, planner.v_z
     assert np.all(v_h >= -1e-9) and np.all(v_h <= 10.0 + 1e-9)
     assert np.all(v_z >= -3.0 - 1e-9) and np.all(v_z <= 5.0 + 1e-9)
@@ -174,7 +174,7 @@ def test_control_lattice_prunes_envelope():
     assert not any(s == 10.0 and abs(i) == pytest.approx(math.pi / 2)
                    for s, i in zip(speeds, inclines))
     # deterministic ordering
-    again = Planner(M210, config)
+    again = Planner(M210, config, 35.0, 55.0)
     for a, b in zip((speeds, inclines, v_h, v_z),
                     (again.speeds, again.inclines, again.v_h, again.v_z)):
         np.testing.assert_array_equal(a, b)
@@ -182,15 +182,17 @@ def test_control_lattice_prunes_envelope():
 
 def test_clearance_margin():
     config = MpcConfig(altitude_bucket=1.0)
-    assert Planner(M210, config).margin \
+    assert Planner(M210, config, 35.0, 55.0).margin \
         == pytest.approx(3.0 ** 2 / (2.0 * 2.8) + 1.0)
-    assert Planner(MAVIC, config).margin \
+    assert Planner(MAVIC, config, 35.0, 55.0).margin \
         == pytest.approx(2.0 ** 2 / (2.0 * 2.8) + 1.0)
 
 
 def test_mpc_config_validation():
     with pytest.raises(MpcInfeasibleError):
-        MpcConfig(min_clearance=50.0, goal_clearance=40.0)
+        Planner(M210, MpcConfig(), 50.0, 40.0)
+    with pytest.raises(MpcInfeasibleError):
+        Planner(M210, MpcConfig(), -1.0, 40.0)
     with pytest.raises(MpcInfeasibleError):
         MpcConfig(speed_levels=1)
     with pytest.raises(MpcInfeasibleError):
@@ -201,9 +203,9 @@ def test_mpc_config_validation():
 
 def test_mpc_flat_terrain_cruises_at_goal():
     grid = flat_terrain(100.0)
-    config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
+    config = MpcConfig()
     state = UavState(x=0.0, y=0.0, z=155.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, Planner(M210, config))
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0))
     assert len(plan) == M210.mpc_steps
     for control in plan:
         validate_control(control, M210)
@@ -218,24 +220,24 @@ def test_mpc_climbs_before_a_wall():
     elev[:, 22:] = 40.0  # ground step 25 m ahead, inside the first disc
     wall = TerrainGrid(ncols=80, nrows=80, xllcorner=-200.0, yllcorner=-200.0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
-    config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
+    config = MpcConfig()
     state = UavState(x=0.0, y=0.0, z=55.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, wall, Planner(M210, config))
+    plan = mpc_plan(state, 0.0, wall, Planner(M210, config, 35.0, 55.0))
     # the raised floor is unreachable within one stage, so recovery
     # climbs at the steepest rate the control lattice offers
-    v_z = Planner(M210, config).v_z
+    v_z = Planner(M210, config, 35.0, 55.0).v_z
     assert plan[0].v_z == pytest.approx(float(v_z.max()))
     assert plan[0].v_z == pytest.approx(5.0)  # the vertical-climb lattice point
 
 
 def test_mpc_recovers_from_below_floor_at_max_climb():
     grid = flat_terrain(100.0)
-    config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
+    config = MpcConfig()
     state = UavState(x=0.0, y=0.0, z=110.0, heading=0.0, v_h=0.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, Planner(M210, config))
-    v_z = Planner(M210, MpcConfig()).v_z
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0))
+    v_z = Planner(M210, MpcConfig(), 35.0, 55.0).v_z
     assert plan[0].v_z == pytest.approx(float(v_z.max()))
-    cost, feasible = evaluate_plan(plan, state, 0.0, grid, Planner(M210, config))
+    cost, feasible = evaluate_plan(plan, state, 0.0, grid, Planner(M210, config, 35.0, 55.0))
     assert feasible
 
 
@@ -244,7 +246,7 @@ def test_mpc_ties_go_to_the_first_lattice_point():
     # nothing; the planner keeps the first minimum in lattice order.
     grid = flat_terrain(100.0)
     state = UavState(x=0.0, y=0.0, z=155.0, heading=0.0, v_h=0.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig(speed_weight=0.0)))
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig(speed_weight=0.0), 35.0, 55.0))
     assert plan == [ControlInput(speed=0.0, incline=M210.incline_min)] * 5
 
 
@@ -257,10 +259,10 @@ def test_mpc_floors_skip_nodata_cells():
     elev = grid.elevations.copy()
     elev[60, 60] = 9999.0
     holed = replace(grid, nodata=9999.0, elevations=elev)
-    config = MpcConfig(min_clearance=35.0, goal_clearance=55.0)
+    config = MpcConfig()
     state = UavState(x=300.0, y=300.0, z=155.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, holed, Planner(M210, config))
-    assert plan == mpc_plan(state, 0.0, grid, Planner(M210, config))
+    plan = mpc_plan(state, 0.0, holed, Planner(M210, config, 35.0, 55.0))
+    assert plan == mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0))
     assert plan[0].v_h == pytest.approx(10.0)
     assert plan[0].v_z == pytest.approx(0.0, abs=1e-12)
 
@@ -269,7 +271,7 @@ def test_mpc_infeasible_velocity_state():
     grid = flat_terrain(0.0)
     state = UavState(x=0.0, y=0.0, z=55.0, heading=0.0, v_h=50.0, v_z=0.0)
     with pytest.raises(MpcInfeasibleError) as err:
-        mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig()))
+        mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig(), 35.0, 55.0))
     assert "acceleration" in str(err.value)
 
 
@@ -277,8 +279,8 @@ def test_mpc_deterministic():
     grid = flat_terrain(0.0)
     state = UavState(x=5.0, y=-3.0, z=60.0, heading=0.7, v_h=6.0, v_z=1.0)
     config = MpcConfig()
-    a = mpc_plan(state, 0.7, grid, Planner(M210, config))
-    b = mpc_plan(state, 0.7, grid, Planner(M210, config))
+    a = mpc_plan(state, 0.7, grid, Planner(M210, config, 35.0, 55.0))
+    b = mpc_plan(state, 0.7, grid, Planner(M210, config, 35.0, 55.0))
     assert a == b
 
 
@@ -297,13 +299,12 @@ ORACLE_LIMITS = UavLimits(
 # variant whose acceleration window cannot span the speed range in one step
 TIGHT_LIMITS = replace(ORACLE_LIMITS, name="probe_tight",
                        a_h_min=-1.2, a_h_max=1.0, a_v_min=-1.0, a_v_max=1.0)
-ORACLE_CONFIG = MpcConfig(min_clearance=20.0, goal_clearance=40.0,
-                          speed_levels=3, incline_levels=5,
-                          altitude_bucket=2.0)
+ORACLE_CONFIG = MpcConfig(speed_levels=3, incline_levels=5, altitude_bucket=2.0)
+ORACLE_CLEARANCES = (20.0, 40.0)  # min, goal
 
 
 def brute_force_plan(state, heading, grid, limits, config):
-    planner = Planner(limits, config)
+    planner = Planner(limits, config, *ORACLE_CLEARANCES)
     unique = {}
     for s, i in zip(planner.speeds, planner.inclines):
         key = (round(s * math.cos(i), 12), round(s * math.sin(i), 12))
@@ -336,6 +337,7 @@ def hilly_terrain(rng):
                          ids=["wide-accel", "tight-accel"])
 def test_mpc_matches_exhaustive_search(limits):
     rng = np.random.default_rng(77)
+    planner = Planner(limits, ORACLE_CONFIG, *ORACLE_CLEARANCES)
     from uavsearch import elevation_at
     planned = 0
     for _ in range(10):
@@ -352,12 +354,12 @@ def test_mpc_matches_exhaustive_search(limits):
         want_cost, want_seq = brute_force_plan(
             state, state.heading, grid, limits, ORACLE_CONFIG)
         try:
-            plan = mpc_plan(state, state.heading, grid, Planner(limits, ORACLE_CONFIG))
+            plan = mpc_plan(state, state.heading, grid, planner)
         except MpcInfeasibleError:
             assert want_seq is None
             continue
         got_cost, feasible = evaluate_plan(
-            plan, state, state.heading, grid, Planner(limits, ORACLE_CONFIG))
+            plan, state, state.heading, grid, planner)
         assert feasible
         assert want_seq is not None
         assert got_cost == pytest.approx(want_cost, abs=1e-9)
@@ -368,7 +370,7 @@ def test_mpc_matches_exhaustive_search(limits):
 @pytest.mark.parametrize("limits", [M210, MAVIC, ORACLE_LIMITS],
                          ids=["M210", "Mavic2ED", "oracle"])
 def test_predecessor_sets_rebuild_allowed(limits):
-    planner = Planner(limits, MpcConfig())
+    planner = Planner(limits, MpcConfig(), 35.0, 55.0)
     np.testing.assert_array_equal(planner.pred_sets[:, planner.set_of], planner.allowed)
     # the sets are distinct, so each stage reduces once per set
     assert len({column.tobytes() for column in planner.pred_sets.T}) \
@@ -377,8 +379,8 @@ def test_predecessor_sets_rebuild_allowed(limits):
 
 def test_planner_reuse_matches_fresh_planner():
     rng = np.random.default_rng(31)
-    config = MpcConfig(min_clearance=20.0, goal_clearance=40.0)
-    planners = {limits.name: Planner(limits, config) for limits in (M210, MAVIC)}
+    config = MpcConfig()
+    planners = {limits.name: Planner(limits, config, 20.0, 40.0) for limits in (M210, MAVIC)}
     from uavsearch import elevation_at
     for n in range(50):
         limits = (M210, MAVIC)[n % 2]
@@ -391,7 +393,7 @@ def test_planner_reuse_matches_fresh_planner():
             v_z=float(rng.uniform(limits.v_z_min, limits.v_z_max)),
         )
         outcomes = []
-        for planner in (planners[limits.name], Planner(limits, config)):
+        for planner in (planners[limits.name], Planner(limits, config, 20.0, 40.0)):
             try:
                 outcomes.append(mpc_plan(state, state.heading, grid, planner))
             except MpcInfeasibleError as exc:
@@ -404,9 +406,9 @@ def test_evaluate_plan_rejects_wrong_length_and_limit_breaks():
     state = UavState(x=0.0, y=0.0, z=60.0, heading=0.0, v_h=0.0, v_z=0.0)
     with pytest.raises(MpcInfeasibleError):
         evaluate_plan([ControlInput(5.0, 0.0)], state, 0.0, grid,
-                      Planner(M210, MpcConfig()))
+                      Planner(M210, MpcConfig(), 35.0, 55.0))
     # jumping to full speed from rest overruns a_h_max * dt = 6 m/s:
     # the sequence evaluates infeasible instead of raising
     hard = [ControlInput(10.0, 0.0)] + [ControlInput(0.0, 0.0)] * 4
-    cost, ok = evaluate_plan(hard, state, 0.0, grid, Planner(M210, MpcConfig()))
+    cost, ok = evaluate_plan(hard, state, 0.0, grid, Planner(M210, MpcConfig(), 35.0, 55.0))
     assert not ok and cost == math.inf

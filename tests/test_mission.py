@@ -57,12 +57,6 @@ def test_prepare_environment_validation():
     assert "unknown vehicle" in str(err.value)
     with pytest.raises(MissionError):
         prepare_environment(tiny_config([one_flight(camera="NoSuchCam")]))
-    with pytest.raises(MissionError) as err:
-        prepare_environment(tiny_config([one_flight(min_altitude=30.0)]))
-    assert "35 <= min <= goal" in str(err.value)
-    with pytest.raises(MissionError):
-        prepare_environment(tiny_config([one_flight(min_altitude=80.0,
-                                                    goal_altitude=60.0)]))
     # domain larger than the terrain
     with pytest.raises(MissionError) as err:
         prepare_environment(tiny_config([one_flight()], offset=500.0))
@@ -121,9 +115,10 @@ def test_custom_presets_resolved():
     # presets remain available
     assert second.planner.limits is UAV_PRESETS["M210"]
     assert second.camera is CAMERA_PRESETS["X5S"]
-    assert first.planner.config.min_clearance == 35.0
-    assert second.planner.config.min_clearance == 40.0
-    assert second.planner.config.goal_clearance == 55.0
+    assert first.planner.min_clearance == 35.0
+    assert second.planner.min_clearance == 40.0
+    assert second.planner.goal_clearance == 55.0
+    assert first.planner.config is second.planner.config is config.mpc
     assert first.replan == second.replan == 3
 
 
@@ -238,9 +233,9 @@ def test_split_flight_matches_single_flight():
 def test_target_tracker_support_and_reproducibility():
     config = tiny_config([one_flight()])
     env = prepare_environment(config)
-    tracker = TargetTracker(env.density, count=200, seed=17)
-    again = TargetTracker(env.density, count=200, seed=17)
-    other = TargetTracker(env.density, count=200, seed=18)
+    tracker = TargetTracker(env.density, MonteCarloConfig(targets=200, seed=17))
+    again = TargetTracker(env.density, MonteCarloConfig(targets=200, seed=17))
+    other = TargetTracker(env.density, MonteCarloConfig(targets=200, seed=18))
     np.testing.assert_array_equal(tracker.xs, again.xs)
     np.testing.assert_array_equal(tracker.thresholds, again.thresholds)
     assert not np.array_equal(tracker.xs, other.xs)
@@ -253,8 +248,8 @@ def test_target_tracker_support_and_reproducibility():
 def test_target_tracker_prefix_stable():
     # per-target substreams: extending the population keeps the prefix
     env = prepare_environment(tiny_config([one_flight()]))
-    small = TargetTracker(env.density, count=40, seed=23)
-    large = TargetTracker(env.density, count=120, seed=23)
+    small = TargetTracker(env.density, MonteCarloConfig(targets=40, seed=23))
+    large = TargetTracker(env.density, MonteCarloConfig(targets=120, seed=23))
     np.testing.assert_array_equal(large.xs[:40], small.xs)
     np.testing.assert_array_equal(large.ys[:40], small.ys)
     np.testing.assert_array_equal(large.thresholds[:40], small.thresholds)
@@ -263,14 +258,14 @@ def test_target_tracker_prefix_stable():
 def test_target_positions_follow_density_ratio():
     grid = GridSpec(x_origin=0.0, y_origin=0.0, cell_size=10.0, ncols=2, nrows=1)
     density = DensityGrid(grid=grid, values=np.array([[1.0, 2.0]]) / 300.0)
-    tracker = TargetTracker(density, count=4000, seed=3)
+    tracker = TargetTracker(density, MonteCarloConfig(targets=4000, seed=3))
     right = float(np.mean(tracker.cols == 1))
     assert abs(right - 2.0 / 3.0) < 0.025  # ~3 sigma for 4000 draws
 
 
 def test_tracker_interpolates_crossing_time():
     env = prepare_environment(tiny_config([one_flight()]))
-    tracker = TargetTracker(env.density, count=3, seed=1)
+    tracker = TargetTracker(env.density, MonteCarloConfig(targets=3, seed=1))
     tracker.rows[:] = 5
     tracker.cols[:] = 7
     tracker.thresholds[:] = [1.0, 0.2, 10.0]
@@ -325,13 +320,28 @@ def test_monte_carlo_seed_priority():
 
 
 def test_tracker_input_validation():
-    env = prepare_environment(tiny_config([one_flight()]))
-    with pytest.raises(MissionError):
-        TargetTracker(env.density, count=0, seed=1)
-    with pytest.raises(MissionError):
-        TargetTracker(env.density, count=10, seed=-1)
+    # the target count and seed are checked when their config is built
+    with pytest.raises(MissionError) as err:
+        MonteCarloConfig(targets=0, seed=1)
+    assert "targets must be >= 1" in str(err.value)
+    for seed in (-1, 2 ** 63):
+        with pytest.raises(MissionError) as err:
+            MonteCarloConfig(targets=10, seed=seed)
+        assert "seed must be in [0, 2^63)" in str(err.value)
+    MonteCarloConfig(targets=1, seed=2 ** 63 - 1)
     zero = DensityGrid(
         grid=GridSpec(x_origin=0, y_origin=0, cell_size=10, ncols=2, nrows=2),
         values=np.zeros((2, 2)))
     with pytest.raises(MissionError):
-        TargetTracker(zero, count=10, seed=1)
+        TargetTracker(zero, MonteCarloConfig(targets=10, seed=1))
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    (dict(duration=0), "duration_s must be >= 1 second"),
+    (dict(min_altitude=30.0), "altitudes must satisfy 35 <= min <= goal, got min=30, goal=55"),
+    (dict(min_altitude=80.0, goal_altitude=60.0), "altitudes must satisfy 35 <= min <= goal"),
+], ids=["zero-duration", "min-below-35", "min-above-goal"])
+def test_flight_config_validation(kwargs, fragment):
+    with pytest.raises(MissionError) as err:
+        one_flight(**kwargs)
+    assert fragment in str(err.value)

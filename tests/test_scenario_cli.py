@@ -80,11 +80,18 @@ def test_terrain_path_relative_to_scenario(scenario_file, tmp_path, monkeypatch)
     (lambda d: d["hedac"].update(solver_tolerance=1e-6), "hedac.solver_tolerance"),
     (lambda d: d["hedac"].update(max_iterations=5000), "hedac.max_iterations"),
     (lambda d: d.update(mpc={"clearance_margin": 7.0}), "mpc.clearance_margin"),
+    (lambda d: d["monte_carlo"].update(seed=-3), "monte_carlo: seed must be in [0, 2^63)"),
+    (lambda d: d["monte_carlo"].update(targets=0), "monte_carlo: targets must be >= 1"),
+    (lambda d: d["flights"][0].update(min_altitude=30), "flights.0: altitudes must satisfy"),
+    (lambda d: d.update(mpc={"min_clearance": 40.0}), "unknown key(s): mpc.min_clearance"),
+    (lambda d: d.update(uavs={"M210": {"name": "Other"}}), "unknown key(s): uavs.M210.name"),
 ], ids=["root-key", "hedac-key", "zone-key", "flight-key", "missing-id",
         "no-zones", "no-flights", "string-number", "float-duration",
         "bool-number", "zero-duration", "two-vertices", "dup-zones",
         "neg-offset", "neg-seed", "null-seed", "retired-solver-tolerance",
-        "retired-max-iterations", "retired-clearance-margin"])
+        "retired-max-iterations", "retired-clearance-margin", "neg-mc-seed",
+        "zero-targets", "low-min-altitude", "flight-owned-min-clearance",
+        "preset-name-key"])
 def test_scenario_rejects_bad_documents(scenario_file, mutate, fragment):
     path = scenario_file(mutate)
     with pytest.raises(ScenarioError) as err:
@@ -261,16 +268,25 @@ def test_cli_bad_override_is_input_error(scenario_file, capsys):
 
 
 def test_cli_validate_flag_checks(scenario_file, capsys):
+    # --targets and --seed are monte_carlo overrides, checked at load
     assert main(["validate", str(scenario_file()), "--targets", "0"]) == 2
+    assert "monte_carlo: targets must be >= 1" in capsys.readouterr().err
     assert main(["validate", str(scenario_file()), "--seed", "-1"]) == 2
-    capsys.readouterr()
+    assert "monte_carlo: seed must be in [0, 2^63)" in capsys.readouterr().err
+    assert main(["validate", str(scenario_file()), "--set", "monte_carlo.seed=-3"]) == 2
+    assert "monte_carlo: seed must be in [0, 2^63)" in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exit(scenario_file, tmp_path, capsys):
-    # parses fine, fails when the mission environment is built
+    # a bad value fails at load with exit 2 ...
     path = scenario_file(lambda d: d["flights"][0].update(min_altitude=30))
-    assert main(["simulate", str(path), "--out", str(tmp_path / "x")]) == 1
-    assert "35 <= min <= goal" in capsys.readouterr().err
+    assert main(["simulate", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "flights.0: altitudes must satisfy 35 <= min <= goal" in capsys.readouterr().err
+    # ... a start that parses fine but lies outside the flight domain
+    # fails when the mission environment is built, as a run failure
+    path = scenario_file(lambda d: d["flights"][0].update(start=[5000, 5000]))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "y")]) == 1
+    assert "flight 0: start (5000, 5000) outside the flight domain" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exits_two(capsys):
