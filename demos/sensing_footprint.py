@@ -10,7 +10,7 @@ import numpy as np
 from uavsearch import (CAMERA_PRESETS, CameraPose, DensityGrid, GridSpec,
                        SensingParams, TerrainGrid, default_recall_table,
                        detection_rate, detection_rate_footprint, gsd,
-                       recall_lookup)
+                       ground_under, recall_lookup)
 
 table = default_recall_table()
 print("height ->  gsd (cm/px) and recall, per camera")
@@ -38,7 +38,7 @@ nadir = detection_rate(pose, (pose.x, pose.y), camera, terrain, table, params)
 print(f"\nX5S at 55 m, yaw 30 degrees: nadir rate {nadir:.5f} 1/s")
 
 rows, cols, rates = detection_rate_footprint(pose, camera, terrain, table,
-                                             params, grid)
+                                             params, grid, ground_under(terrain, grid))
 print(f"footprint covers {rates.size} cells "
       f"({rates.size * grid.cell_area:.0f} m^2)")
 print(f"rate falls from {rates.max():.5f} at the center "

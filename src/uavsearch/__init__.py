@@ -34,8 +34,9 @@ from .sensing import (CAMERA_PRESETS, CameraModel, CameraPose, RecallTable,
                       SensingParams, default_recall_table, detection_rate,
                       detection_rate_footprint, format_recall_table, gsd,
                       in_fov, load_recall_table, recall_lookup, to_camera_frame)
-from .terrain import (HomePoint, TerrainGrid, clear_rays, elevation_at,
-                      line_of_sight, load_terrain, relative_height, save_terrain)
+from .terrain import (HomePoint, TerrainGrid, clear_rays, elevation_at, ground_at,
+                      ground_under, line_of_sight, load_terrain, relative_height,
+                      save_terrain)
 from .tiling import (BinRecall, BoxLabel, Detection, ImageMeta, TileRect,
                      TilingPlan, axis_offsets, gsd_bin, iou, match_detections,
                      plan_tiles, recall_per_bin, remap_labels, tile_name)
@@ -66,7 +67,8 @@ __all__ = [
     "SensingParams", "default_recall_table", "detection_rate",
     "detection_rate_footprint", "format_recall_table", "gsd", "in_fov",
     "load_recall_table", "recall_lookup", "to_camera_frame",
-    "HomePoint", "TerrainGrid", "clear_rays", "elevation_at", "line_of_sight",
+    "HomePoint", "TerrainGrid", "clear_rays", "elevation_at", "ground_at",
+    "ground_under", "line_of_sight",
     "load_terrain", "relative_height", "save_terrain",
     "BinRecall", "BoxLabel", "Detection", "ImageMeta", "TileRect",
     "TilingPlan", "axis_offsets", "gsd_bin", "iou", "match_detections",

@@ -31,7 +31,7 @@ reversal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,8 +202,7 @@ def kinematic_step(state: UavState, control: ControlInput, limits: UavLimits,
     heading = wrap_angle(state.heading + control.turn_rate * dt)
     v_h = control.v_h
     v_z = control.v_z
-    return replace(
-        state,
+    return UavState(
         x=state.x + v_h * math.cos(heading) * dt,
         y=state.y + v_h * math.sin(heading) * dt,
         z=state.z + v_z * dt,
@@ -272,10 +271,17 @@ class Planner:
     range, and points outside the velocity envelope are dropped.
     allowed[prev, next] holds where accel_ok admits next after prev; its
     distinct columns are pred_sets, and pred_sets[:, set_of] == allowed.
-    Altitude lives on n_buckets buckets, half either side of the start;
-    dz_buckets is each control's climb per stage in buckets, src/src_out
-    the gather that shifts a stage's values by it. margin, one pull-up
-    distance plus one bucket, is added to the terrain floor.
+    Controls whose rows of pred_sets are equal belong to the same sets
+    and form one membership atom: a stage reduces each atom with one
+    np.minimum.reduceat over the controls sorted by atom, then each set
+    over its atoms (21 atoms for 78 controls on the M210, 7 for 66 on
+    the Mavic2ED). Altitude lives on n_buckets buckets, half either
+    side of the start; dz_buckets is each control's climb per stage in
+    buckets, so after stage i only buckets half + i * [min dz, max dz]
+    can be reached. The flat int32 gather index reads, for each control
+    and bucket, its set's stage minimum at the bucket before the climb,
+    or an inf column when that bucket lies off the lattice. margin, one
+    pull-up distance plus one bucket, is added to the terrain floor.
     """
 
     def __init__(self, limits: UavLimits, config: MpcConfig, min_clearance: float,
@@ -314,18 +320,24 @@ class Planner:
         self.set_of = np.array([sets.setdefault(column.tobytes(), len(sets))
                                 for column in self.allowed.T])
         self.pred_sets = self.allowed[:, np.unique(self.set_of, return_index=True)[1]]
+        atoms: dict[bytes, int] = {}
+        atom_of = np.array([atoms.setdefault(row.tobytes(), len(atoms))
+                            for row in self.pred_sets])
+        self._atom_order = np.argsort(atom_of, kind="stable")
+        self._atom_starts = np.flatnonzero(np.diff(atom_of[self._atom_order], prepend=-1))
+        # [set, atom, 1] mask of one stage's set reduction
+        self._atom_in_set = self.pred_sets[self._atom_order[self._atom_starts]].T[:, :, None]
 
         bucket = config.altitude_bucket
         self.dz_buckets = np.rint(self.v_z * dt / bucket).astype(int)
+        self._dz_range = (int(self.dz_buckets.min()), int(self.dz_buckets.max()))
         self.half = steps * int(np.max(np.abs(self.dz_buckets)))
-        self.n_buckets = 2 * self.half + 1
-        self.z_offsets = (np.arange(self.n_buckets) - self.half) * bucket
+        self.n_buckets = n = 2 * self.half + 1
+        self.z_offsets = (np.arange(n) - self.half) * bucket
         self.first_bucket = self.half + self.dz_buckets
-        src = np.arange(self.n_buckets) - self.dz_buckets[:, None]
-        self.src_out = (src < 0) | (src >= self.n_buckets)
-        self.src = np.clip(src, 0, self.n_buckets - 1)
-        # [set, control, bucket] mask of one stage's reduction
-        self._set_mask = np.broadcast_to(self.pred_sets.T[:, :, None], (len(sets),) + src.shape)
+        src = np.arange(n) - self.dz_buckets[:, None]
+        self._gather = (self.set_of[:, None] * (n + 1)
+                        + np.where((src >= 0) & (src < n), src, n)).astype(np.int32)
 
         pull_up = 0.0
         if limits.a_v_max > 0 and limits.v_z_min < 0:
@@ -360,29 +372,39 @@ class Planner:
         radii = self._disc_reach + 0.75 * grid.cell_size
         rows, cols = grid.cells.window(state.x, state.y, radii[-1])
         block = grid.elevations[rows, cols]
-        bx, by = np.meshgrid(grid.x_centers[cols], grid.y_centers[rows])
-        # Nodata cells may lie outside the flight domain; they bound nothing.
-        dist = np.where(block == grid.nodata, np.inf, np.hypot(bx - state.x, by - state.y))
-
-        floors = np.empty(steps)
-        for i, radius in enumerate(radii):
-            nearby = block[dist <= radius]
-            if nearby.size == 0:
-                nearby = np.array([terrain_mod.elevation_at(grid, state.x, state.y)])
-            floors[i] = float(nearby.max()) + self.min_clearance + self.margin
+        dist = np.hypot(grid.x_centers[cols] - state.x, (grid.y_centers[rows] - state.y)[:, None])
+        if grid.has_nodata:
+            # Nodata cells may lie outside the flight domain; they bound nothing.
+            dist[block == grid.nodata] = np.inf
+        # Each cell raises the floor of the first disc that holds it and,
+        # through the running maximum, of every later one.
+        first_disc = np.searchsorted(radii, dist.ravel())
+        held = first_disc < steps
+        highest = np.full(steps, -np.inf)
+        np.maximum.at(highest, first_disc[held], block.ravel()[held])
+        highest = np.maximum.accumulate(highest)
+        if highest[0] == -np.inf:
+            highest[highest == -np.inf] = terrain_mod.elevation_at(grid, state.x, state.y)
+        floors = highest + self.min_clearance + self.margin
 
         v_nominal = min(max(state.v_h, 0.0), limits.v_h_max)
         cos_h, sin_h = math.cos(heading), math.sin(heading)
-        k = np.arange(1, steps + 1)
-        px = np.clip(state.x + cos_h * k * dt * v_nominal, xmin, xmax)
-        py = np.clip(state.y + sin_h * k * dt * v_nominal, ymin, ymax)
-        refs = terrain_mod.elevation_at(grid, px, py) + self.goal_clearance
+        refs = [terrain_mod.ground_at(
+                    grid, min(max(state.x + cos_h * k * dt * v_nominal, xmin), xmax),
+                    min(max(state.y + sin_h * k * dt * v_nominal, ymin), ymax))
+                + self.goal_clearance for k in range(1, steps + 1)]
 
         # The executed first step must clear its floor with the velocity
-        # still ramping, so stage 1 is gated on the exact ramped displacement.
-        ramp_dz = np.array([
-            ramp_displacement(state.v_z, float(v), limits.a_v_min,
-                              limits.a_v_max, dt) for v in self.v_z])
+        # still ramping, so stage 1 is gated on the exact ramped
+        # displacement: ramp_displacement of each lattice v_z, in its
+        # expression order.
+        step = self.v_z - state.v_z
+        rate = np.where(step > 0, limits.a_v_max, limits.a_v_min)
+        t_reach = np.divide(step, rate, out=np.zeros_like(step), where=rate != 0.0)
+        ramp_dz = np.where(
+            (step == 0.0) | (rate == 0.0), state.v_z * dt,
+            np.where(t_reach >= dt, state.v_z * dt + 0.5 * rate * dt * dt,
+                     state.v_z * t_reach + 0.5 * step * t_reach + self.v_z * (dt - t_reach)))
         # A start below a floor cannot be fixed within one stage; cap each
         # floor at the best altitude reachable by then, which turns the
         # constraint into max-rate climb recovery until compliance returns.
@@ -398,18 +420,24 @@ def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
                       + altitude_weight * (z_i - reference_i)^2 ]
     subject to the velocity envelope, per-step acceleration bounds and
     the stage floors, by exact dynamic programming over the control
-    lattice and the altitude buckets. Each stage takes, for every
-    distinct predecessor set and bucket at once, the minimum over the
-    set's controls, gathers it back to the controls and shifts it by
-    each control's climb. The plan is walked back through the stored
-    stage values; ties go to the first minimum in lattice order,
-    control-major then bucket. Raises MpcInfeasibleError naming the
-    binding constraint when no sequence survives.
+    lattice and the altitude buckets. Each stage works only on the
+    bucket band the previous stages can reach: it takes the minimum of
+    each membership atom, then of each predecessor set over its atoms,
+    and reads it back per control and bucket through the gather index,
+    which shifts it by the control's climb. Buckets below the stage
+    floor and outside the band stay inf, as they would in a full-width
+    stage, and min is exact, so every stage value is the same float as
+    a reduction over all controls and buckets. The plan is walked back
+    through the stored stage values; ties go to the first minimum in
+    lattice order, control-major then bucket. Raises
+    MpcInfeasibleError naming the binding constraint when no sequence
+    survives.
     """
     ramp_dz, floors, refs = planner.stages(state, heading, grid)
     p = planner
     weight = p.config.altitude_weight
     z_values = state.z + p.z_offsets
+    n = p.n_buckets
 
     first_ok = p.accel_ok(p.v_h - state.v_h, p.v_z - state.v_z)
     if not np.any(first_ok):
@@ -418,40 +446,53 @@ def mpc_plan(state: UavState, heading: float, grid: TerrainGrid,
             f"(v_h={state.v_h:g}, v_z={state.v_z:g}) within {p.dt:g} s"
         )
 
-    # Stage 1: each control lands in exactly one bucket.
+    # weight * (z - ref)^2 of every stage and bucket
+    altitude_cost = weight * (z_values - np.array(refs)[:, None]) ** 2
+
+    # Stage 1: each control lands in exactly one bucket. Stage values are
+    # kept as (buckets lo.., [control, bucket - lo]) over the band the
+    # stage can reach; outside it every value would be inf.
     ok = (first_ok & (state.z + ramp_dz >= floors[0] - _EPS)
           & (z_values[p.first_bucket] >= floors[0] - _EPS))
-    value = np.full((p.speeds.size, p.n_buckets), np.inf)
     landing = p.first_bucket[ok]
-    value[ok, landing] = -p.speed_term[ok] + weight * (z_values[landing] - refs[0]) ** 2
-    if not np.isfinite(value).any():
+    if landing.size == 0:
         raise MpcInfeasibleError(
             f"no feasible first step: altitude {state.z:.2f} m against the "
             f"stage-1 terrain floor {floors[0]:.2f} m under the climb and "
             "acceleration limits"
         )
+    lo, hi = int(landing.min()), int(landing.max()) + 1
+    value = np.full((p.speeds.size, hi - lo), np.inf)
+    value[ok, landing - lo] = -p.speed_term[ok] + altitude_cost[0, landing]
 
-    # Stages 2..N: one masked minimum per distinct predecessor set,
-    # gathered back to the controls and shifted by their climbs.
-    values = [value]
+    # Stages 2..N: the band moves by each control's climb and starts at
+    # the first bucket on or above the stage floor.
+    values = [(lo, value)]
+    dz_min, dz_max = p._dz_range
+    n_sets, n_atoms = p._atom_in_set.shape[:2]
     for i in range(1, p.limits.mpc_steps):
-        best_of_set = np.min(np.broadcast_to(value, p._set_mask.shape), axis=1,
-                             where=p._set_mask, initial=np.inf)
-        value = ((best_of_set[p.set_of[:, None], p.src] - p.speed_term[:, None])
-                 + weight * (z_values - refs[i]) ** 2)
-        value[p.src_out | (z_values < floors[i] - _EPS)] = np.inf
-        values.append(value)
+        by_atom = np.minimum.reduceat(value[p._atom_order], p._atom_starts, axis=0)
+        best_of_set = np.full((n_sets, n + 1), np.inf)
+        best_of_set[:, lo:hi] = np.min(
+            np.broadcast_to(by_atom, (n_sets, n_atoms, hi - lo)), axis=1,
+            where=p._atom_in_set, initial=np.inf)
+        lo = max(lo + dz_min, int(np.searchsorted(z_values, floors[i] - _EPS)))
+        hi = max(lo, hi + dz_max)
+        value = ((best_of_set.ravel()[p._gather[:, lo:hi]] - p.speed_term[:, None])
+                 + altitude_cost[i, lo:hi])
+        values.append((lo, value))
         if not np.isfinite(value).any():
             raise MpcInfeasibleError(
                 f"no feasible plan at stage {i + 1}: terrain floor "
                 f"{floors[i]:.2f} m cannot be reached within the climb limits"
             )
 
-    k, b = divmod(int(np.argmin(value)), p.n_buckets)
+    k, b = divmod(int(np.argmin(value)), hi - lo)
+    b += lo
     sequence = [k]
-    for previous in reversed(values[:-1]):
+    for lo, previous in reversed(values[:-1]):
         b -= p.dz_buckets[k]
-        k = int(np.argmin(np.where(p.allowed[:, k], previous[:, b], np.inf)))
+        k = int(np.argmin(np.where(p.allowed[:, k], previous[:, b - lo], np.inf)))
         sequence.append(k)
     sequence.reverse()
     return [ControlInput(speed=float(p.speeds[k]), incline=float(p.inclines[k]),

@@ -29,7 +29,9 @@ class GridSpec:
 
     Cell (row, col) has its center at origin + (col + 0.5, row + 0.5) * cell_size,
     row 0 being the southernmost row. Value arrays over this grid use
-    shape (nrows, ncols).
+    shape (nrows, ncols). x_centers and y_centers, the read-only
+    cell-center coordinates along each axis, are derived once at
+    construction.
     """
 
     x_origin: float
@@ -37,12 +39,19 @@ class GridSpec:
     cell_size: float
     ncols: int
     nrows: int
+    x_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    y_centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cell_size > 0:
             raise DomainError("grid cell size must be positive")
         if self.ncols < 1 or self.nrows < 1:
             raise DomainError("grid must have at least one cell per axis")
+        for name, origin, count in (("x_centers", self.x_origin, self.ncols),
+                                    ("y_centers", self.y_origin, self.nrows)):
+            centers = origin + (np.arange(count) + 0.5) * self.cell_size
+            centers.flags.writeable = False
+            object.__setattr__(self, name, centers)
 
     @property
     def cell_area(self) -> float:
@@ -51,14 +60,6 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    @property
-    def x_centers(self) -> np.ndarray:
-        return self.x_origin + (np.arange(self.ncols) + 0.5) * self.cell_size
-
-    @property
-    def y_centers(self) -> np.ndarray:
-        return self.y_origin + (np.arange(self.nrows) + 0.5) * self.cell_size
 
     @property
     def width(self) -> float:
@@ -335,6 +336,22 @@ def _bilinear_support(grid: GridSpec, x, y):
     return j0, j1, i0, i1, tx, ty
 
 
+def _bilinear_point(grid: GridSpec, x: float, y: float):
+    """_bilinear_support of one point in plain Python numbers: the same
+    clamps and the same arithmetic, so the same indices and weights,
+    without numpy's per-call overhead on the scalar queries of every
+    step."""
+    h = float(grid.cell_size)
+    x0 = float(grid.x_origin) + 0.5 * h
+    y0 = float(grid.y_origin) + 0.5 * h
+    fx = (min(max(x, x0), float(grid.x_origin) + (grid.ncols - 0.5) * h) - x0) / h
+    fy = (min(max(y, y0), float(grid.y_origin) + (grid.nrows - 0.5) * h) - y0) / h
+    i0 = min(max(math.floor(fx), 0), max(grid.ncols - 2, 0))
+    j0 = min(max(math.floor(fy), 0), max(grid.nrows - 2, 0))
+    return (j0, min(j0 + 1, grid.nrows - 1), i0, min(i0 + 1, grid.ncols - 1),
+            min(max(fx - i0, 0.0), 1.0), min(max(fy - j0, 0.0), 1.0))
+
+
 def _blend(v00, v10, v01, v11, tx, ty):
     """Bilinear blend of the corner values at (j0, i0), (j0, i1), (j1, i0), (j1, i1)."""
     return (
@@ -363,22 +380,17 @@ def gradient_on_grid(grid: GridSpec, values: np.ndarray, x: float, y: float,
 
     The differences are taken only at the four corner nodes the
     interpolation reads: central inside the grid, one-sided on its
-    edges, with np.gradient's arithmetic, so the result is bit-identical
-    to interpolating the full-grid gradient. An axis of one cell has
-    zero derivative.
+    edges, with np.gradient's arithmetic in plain floats, so the result
+    is bit-identical to interpolating the full-grid gradient. An axis of
+    one cell has zero derivative.
     """
-    j0, j1, i0, i1, tx, ty = _bilinear_support(grid, x, y)
-    rows = np.concatenate([j0, j0, j1, j1])
-    cols = np.concatenate([i0, i1, i0, i1])
-
-    def neighbours(index, n):
-        lo, hi = np.maximum(index - 1, 0), np.minimum(index + 1, n - 1)
-        return lo, hi, np.maximum(hi - lo, 1) * grid.cell_size
-
-    lo, hi, step = neighbours(cols, grid.ncols)
-    grad_x = (values[rows, hi] - values[rows, lo]) / step
-    lo, hi, step = neighbours(rows, grid.nrows)
-    grad_y = (values[hi, cols] - values[lo, cols]) / step
-    corners = np.stack([grad_x, grad_y], axis=1)
-    gx, gy = _blend(corners[0], corners[1], corners[2], corners[3], tx, ty)
-    return float(gx), float(gy)
+    j0, j1, i0, i1, tx, ty = _bilinear_point(grid, x, y)
+    h = grid.cell_size
+    last_col, last_row = grid.ncols - 1, grid.nrows - 1
+    gx, gy = [], []
+    for row, col in ((j0, i0), (j0, i1), (j1, i0), (j1, i1)):
+        lo, hi = max(col - 1, 0), min(col + 1, last_col)
+        gx.append((values.item(row, hi) - values.item(row, lo)) / (max(hi - lo, 1) * h))
+        lo, hi = max(row - 1, 0), min(row + 1, last_row)
+        gy.append((values.item(hi, col) - values.item(lo, col)) / (max(hi - lo, 1) * h))
+    return _blend(*gx, tx, ty), _blend(*gy, tx, ty)

@@ -78,18 +78,19 @@ class FieldState:
 
 def accumulate_coverage(state: FieldState, pose: CameraPose, camera: CameraModel,
                         grid: TerrainGrid, table: RecallTable,
-                        params: SensingParams, dt: float) -> None:
+                        params: SensingParams, dt: float, ground: np.ndarray) -> None:
     """Add dt seconds of sensing from a pose (rectangle rule).
 
-    Coverage gains detection_rate * dt per visible cell; the undetected
-    density is refreshed on the footprint block, the only cells whose
-    coverage changes, to keep undetected = initial * exp(-coverage)
-    exact.
+    ground is the terrain elevation under every cell center of
+    state.grid (terrain.ground_under). Coverage gains detection_rate * dt
+    per visible cell; the undetected density is refreshed on the
+    footprint block, the only cells whose coverage changes, to keep
+    undetected = initial * exp(-coverage) exact.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
     rows, cols, rates = detection_rate_footprint(
-        pose, camera, grid, table, params, state.grid)
+        pose, camera, grid, table, params, state.grid, ground)
     if rates.size:
         state.coverage[rows, cols] += rates * dt
         np.multiply(state.initial.values[rows, cols], np.exp(-state.coverage[rows, cols]),
@@ -165,7 +166,8 @@ def steering_gradient(state: FieldState, position) -> np.ndarray | None:
     flat and the caller should hold its heading.
     """
     x, y = float(position[0]), float(position[1])
-    if not bool(state.grid.contains(x, y)):
+    xmin, xmax, ymin, ymax = state.grid.rect
+    if not (xmin <= x <= xmax and ymin <= y <= ymax):
         raise SolverError(
             f"steering query ({x:g}, {y:g}) outside flight domain {state.grid.rect}")
     gx, gy = gradient_on_grid(state.grid, state.potential, x, y)

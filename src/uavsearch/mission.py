@@ -44,7 +44,7 @@ from .errors import MissionError, MpcInfeasibleError
 from .hedac import FieldState, HedacParams, PotentialSolver, accomplishment, accumulate_coverage, steering_gradient
 from .sensing import (CAMERA_PRESETS, CameraModel, CameraPose, RecallTable, SensingParams,
                       default_recall_table)
-from .terrain import TerrainGrid, elevation_at, first_nodata_under
+from .terrain import TerrainGrid, elevation_at, first_nodata_under, ground_at, ground_under
 
 SENSE_DT = 1.0       # seconds between sensing / field / heading updates
 KINEMATIC_DT = 0.5   # seconds between kinematic integration steps
@@ -202,7 +202,8 @@ class FlightSetup:
 
 @dataclass(frozen=True)
 class MissionEnv:
-    """A mission checked and resolved once, before its first step."""
+    """A mission checked and resolved once, before its first step.
+    ground is the terrain elevation under every domain cell center."""
 
     config: MissionConfig
     domain: SearchDomain
@@ -210,6 +211,7 @@ class MissionEnv:
     recall: RecallTable
     solver: PotentialSolver
     flights: tuple[FlightSetup, ...]
+    ground: np.ndarray
 
 
 def _spawn_state(flight: FlightConfig, terrain: TerrainGrid, domain: SearchDomain,
@@ -287,7 +289,8 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
     recall = config.recall if config.recall is not None else default_recall_table()
     return MissionEnv(config=config, domain=domain, density=density, recall=recall,
                       solver=PotentialSolver(domain.grid, config.hedac),
-                      flights=tuple(setups))
+                      flights=tuple(setups),
+                      ground=ground_under(config.terrain, domain.grid))
 
 
 def run_flight(field_state: FieldState, env: MissionEnv, index: int,
@@ -321,11 +324,15 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     target_v_h, target_v_z = state.v_h, state.v_z
     omega = 0.0
 
+    # Poses stay inside the flight domain, which prepare_environment
+    # proved to lie on the terrain without nodata under it.
     def log_row(s: UavState, prev: UavState | None) -> None:
-        ground = elevation_at(terrain, s.x, s.y)
+        ground = ground_at(terrain, s.x, s.y)
         if s.z < ground:
             raise MissionError(
-                f"vehicle below ground at t={s.t:g}: z={s.z:.2f}, terrain={ground:.2f}")
+                f"flight {index}: vehicle below ground at mission time "
+                f"{base_time + s.t:g} s, pose ({s.x:.2f}, {s.y:.2f}, {s.z:.2f}, "
+                f"heading {s.heading:.4f}): terrain {ground:.2f}")
         speed = math.hypot(s.v_h, s.v_z)
         incline = math.atan2(s.v_z, s.v_h) if speed > 0 else 0.0
         floor_ok = s.z >= ground + NO_FLY_FLOOR - _FLAG_EPS
@@ -346,7 +353,7 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     for k in range(flight.duration_s):
         pose = CameraPose(x=state.x, y=state.y, z=state.z, yaw=state.heading)
         accumulate_coverage(field_state, pose, camera, terrain,
-                            env.recall, env.config.sensing, SENSE_DT)
+                            env.recall, env.config.sensing, SENSE_DT, env.ground)
         eta_now = accomplishment(field_state)
         etas.append(eta_now)
         if observer is not None:

@@ -20,7 +20,7 @@ rate zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -101,11 +101,17 @@ class RecallTable:
 
     Bins are half-open [low, high) in cm/px, contiguous, ascending and
     uniformly bin_width wide. Recall values are kept exactly as
-    measured; they need not be monotone.
+    measured; they need not be monotone. edges (the bin edges) and
+    recalls are read-only arrays derived once at construction.
     """
 
     bins: tuple[tuple[float, float, float], ...]
     bin_width: float = 0.5
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    recalls: np.ndarray = field(init=False, repr=False, compare=False)
+    # recall per searchsorted(edges, gsd, side="right"): the lowest bin's
+    # below the lowest edge, bin i's at i + 1, zero at or above the top edge
+    _by_edge_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.bins:
@@ -123,14 +129,13 @@ class RecallTable:
             if not 0.0 <= recall <= 1.0:
                 raise SensingError(f"recall {recall:g} outside [0, 1]")
             prev_high = high
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.array([self.bins[0][0]] + [b[1] for b in self.bins])
-
-    @property
-    def recalls(self) -> np.ndarray:
-        return np.array([b[2] for b in self.bins])
+        recalls = [b[2] for b in self.bins]
+        for name, values in (("edges", [self.bins[0][0]] + [b[1] for b in self.bins]),
+                             ("recalls", recalls),
+                             ("_by_edge_index", recalls[:1] + recalls + [0.0])):
+            array = np.array(values, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def recall_lookup(table: RecallTable, gsd_value):
@@ -141,18 +146,8 @@ def recall_lookup(table: RecallTable, gsd_value):
     the top edge return 0 (no supporting measurements).
     """
     g = np.asarray(gsd_value, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
-    edges = table.edges
-    idx = np.searchsorted(edges, g, side="right") - 1
-    out = np.zeros(g.shape, dtype=float)
-    below = idx < 0
-    above = idx >= len(table.bins)
-    normal = ~(below | above)
-    recalls = table.recalls
-    out[normal] = recalls[idx[normal]]
-    out[below] = recalls[0]
-    return float(out[0]) if scalar else out
+    out = table._by_edge_index[np.searchsorted(table.edges, g, side="right")]
+    return float(out) if g.ndim == 0 else out
 
 
 def load_recall_table(path) -> RecallTable:
@@ -277,13 +272,17 @@ def detection_rate(pose: CameraPose, point_xy, camera: CameraModel,
 def detection_rate_footprint(pose: CameraPose, camera: CameraModel,
                              grid: TerrainGrid, table: RecallTable,
                              params: SensingParams, cells: GridSpec,
+                             ground: np.ndarray,
                              ) -> tuple[slice, slice, np.ndarray]:
     """Detection rate over the cells a pose can possibly see.
 
-    Returns (row_slice, col_slice, rates) where rates covers the cell
-    block selected by the slices on the given grid. Cells outside the
-    frustum or without line of sight rate zero. Agrees with
-    detection_rate evaluated per cell center.
+    ground is the terrain elevation under every cell center of cells
+    (terrain.ground_under(grid, cells)), resolved once by the caller:
+    the footprint slices it and the 1-d cell centers instead of
+    querying the terrain every step. Returns (row_slice, col_slice,
+    rates) where rates covers the cell block selected by the slices on
+    the given grid. Cells outside the frustum or without line of sight
+    rate zero. Agrees with detection_rate evaluated per cell center.
     """
     # Bound the footprint by the deepest possible view ray.
     max_depth = pose.z - grid.min_elevation
@@ -291,18 +290,19 @@ def detection_rate_footprint(pose: CameraPose, camera: CameraModel,
         return slice(0, 0), slice(0, 0), np.zeros((0, 0))
     reach = math.hypot(max_depth * camera.half_tan_x, max_depth * camera.half_tan_y)
     row_slice, col_slice = cells.window(pose.x, pose.y, reach)
-    block_x, block_y = np.meshgrid(cells.x_centers[col_slice], cells.y_centers[row_slice])
-    rates = np.zeros(block_x.shape, dtype=float)
+    block_ground = ground[row_slice, col_slice]
+    rates = np.zeros(block_ground.shape, dtype=float)
     if rates.size == 0:
         return row_slice, col_slice, rates
 
-    ground = terrain_mod.elevation_at(grid, block_x, block_y)
+    xs = cells.x_centers[col_slice]
+    ys = cells.y_centers[row_slice]
     cos_yaw, sin_yaw = math.cos(pose.yaw), math.sin(pose.yaw)
-    dx = block_x - pose.x
-    dy = block_y - pose.y
+    dx = (xs - pose.x)[None, :]
+    dy = (ys - pose.y)[:, None]
     rx = cos_yaw * dx + sin_yaw * dy
     ry = -sin_yaw * dx + cos_yaw * dy
-    rz = ground - pose.z
+    rz = block_ground - pose.z
     depth = -rz
     visible = (depth > 0) \
         & (np.abs(rx) <= depth * camera.half_tan_x) \
@@ -312,12 +312,14 @@ def detection_rate_footprint(pose: CameraPose, camera: CameraModel,
 
     rows, cols = np.nonzero(visible)
     horizontal_gsd, _ = gsd(camera, 1.0)
-    gsd_values = horizontal_gsd * depth[rows, cols]
+    seen_depth = depth[rows, cols]
+    gsd_values = horizontal_gsd * seen_depth
     recalls = recall_lookup(table, gsd_values)
-    norms = np.sqrt(rx[rows, cols] ** 2 + ry[rows, cols] ** 2 + rz[rows, cols] ** 2)
-    cos_off = depth[rows, cols] / norms
+    seen_rx, seen_ry, seen_rz = rx[rows, cols], ry[rows, cols], rz[rows, cols]
+    norms = np.sqrt(seen_rx ** 2 + seen_ry ** 2 + seen_rz ** 2)
+    cos_off = seen_depth / norms
     values = params.rate_scale * recalls * cos_off ** params.falloff_exponent
-    targets = np.stack([block_x[rows, cols], block_y[rows, cols], ground[rows, cols]], axis=1)
+    targets = np.stack([xs[cols], ys[rows], block_ground[rows, cols]], axis=1)
     clear = terrain_mod.clear_rays(grid, (pose.x, pose.y, pose.z), targets)
     rates[rows[clear], cols[clear]] = values[clear]
     return row_slice, col_slice, rates

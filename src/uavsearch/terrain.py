@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import GridSpec, _bilinear_support, _blend
+from .domain import GridSpec, _bilinear_point, _bilinear_support, _blend
 from .errors import TerrainError
 
 # Header keys of the ASCII grid format, in the order they must appear.
@@ -148,7 +148,7 @@ def load_terrain(path) -> TerrainGrid:
         if len(rows) == nrows:
             raise TerrainError(f"line {lineno}: more data rows than nrows={nrows}")
         try:
-            row = np.array([float(tok) for tok in line.split()], dtype=float)
+            row = np.array(line.split(), dtype=float)
         except ValueError:
             raise TerrainError(f"line {lineno}: cannot parse elevation row") from None
         if row.size != ncols:
@@ -194,6 +194,26 @@ def first_nodata_under(grid: TerrainGrid, rect) -> tuple[int, int] | None:
     return (int(bad[0][0] + j0[0]), int(bad[0][1] + i0[0])) if bad.size else None
 
 
+def _check_inside(grid: TerrainGrid, x: np.ndarray, y: np.ndarray) -> None:
+    inside = grid.contains(x, y)
+    if not np.all(inside):
+        bad = np.argwhere(~inside)[0]
+        raise TerrainError(
+            f"query point ({x[tuple(bad)]:g}, {y[tuple(bad)]:g}) outside terrain extent "
+            f"{grid.extent}"
+        )
+
+
+def _interpolate(grid: TerrainGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear ground at points already checked to lie inside the hull."""
+    j0, j1, i0, i1, tx, ty = _bilinear_support(grid.cells, x, y)
+    e = grid.elevations
+    corners = (e[j0, i0], e[j0, i1], e[j1, i0], e[j1, i1])
+    if grid.has_nodata and any(np.any(z == grid.nodata) for z in corners):
+        raise TerrainError("query point supported by a nodata cell")
+    return _blend(*corners, tx, ty)
+
+
 def elevation_at(grid: TerrainGrid, x, y):
     """Bilinear ground elevation at (x, y). Accepts scalars or arrays.
 
@@ -204,22 +224,39 @@ def elevation_at(grid: TerrainGrid, x, y):
     y = np.asarray(y, dtype=float)
     scalar = x.ndim == 0 and y.ndim == 0
     x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-
-    inside = grid.contains(x, y)
-    if not np.all(inside):
-        bad = np.argwhere(~inside)[0]
-        raise TerrainError(
-            f"query point ({x[tuple(bad)]:g}, {y[tuple(bad)]:g}) outside terrain extent "
-            f"{grid.extent}"
-        )
-
-    j0, j1, i0, i1, tx, ty = _bilinear_support(grid.cells, x, y)
-    e = grid.elevations
-    corners = (e[j0, i0], e[j0, i1], e[j1, i0], e[j1, i1])
-    if grid.has_nodata and any(np.any(z == grid.nodata) for z in corners):
-        raise TerrainError("query point supported by a nodata cell")
-    z = _blend(*corners, tx, ty)
+    _check_inside(grid, x, y)
+    z = _interpolate(grid, x, y)
     return float(z[0]) if scalar else z
+
+
+def ground_at(grid: TerrainGrid, x: float, y: float) -> float:
+    """elevation_at of one point the caller knows to lie inside the
+    cell-center hull, in plain floats: the same support and blend, so
+    the same float, without numpy's per-call overhead. A nodata corner
+    still raises TerrainError."""
+    j0, j1, i0, i1, tx, ty = _bilinear_point(grid.cells, x, y)
+    e = grid.elevations
+    corners = (e.item(j0, i0), e.item(j0, i1), e.item(j1, i0), e.item(j1, i1))
+    if grid.has_nodata and grid.nodata in corners:
+        raise TerrainError("query point supported by a nodata cell")
+    return _blend(*corners, tx, ty)
+
+
+def ground_under(grid: TerrainGrid, cells: GridSpec) -> np.ndarray:
+    """elevation_at at every cell center of cells, shape cells.shape.
+
+    The centers form a rectangle, so checking the hull at its corners
+    checks them all. A row of centers broadcasts against a column, with
+    elevation_at's arithmetic per element, in bands of about 2048 cells
+    so that the temporaries stay small.
+    """
+    xs, ys = cells.x_centers, cells.y_centers
+    _check_inside(grid, xs[[0, -1, 0, -1]], ys[[0, 0, -1, -1]])
+    ground = np.empty(cells.shape)
+    band = max(1, 2048 // cells.ncols)
+    for row in range(0, cells.nrows, band):
+        ground[row:row + band] = _interpolate(grid, xs[None, :], ys[row:row + band, None])
+    return ground
 
 
 def relative_height(grid: TerrainGrid, position) -> float:
@@ -239,24 +276,29 @@ def clear_rays(grid: TerrainGrid, origin, targets, step: float | None = None,
     the endpoints: a target lying on the ground does not occlude itself
     and the origin is never tested, and a ray shorter than `step` is
     always clear. A sample passes when its height is >= the interpolated
-    ground elevation. The samples of all rays go through one
-    elevation_at call.
+    ground elevation, with elevation_at's arithmetic. The hull is
+    checked on the endpoints only: it is convex, so every sample of a
+    ray whose endpoints lie inside it lies inside too.
     """
     if step is None:
         step = 0.5 * grid.cell_size
     if not step > 0:
         raise TerrainError("line-of-sight step must be positive")
     p0 = np.asarray(origin, dtype=float)
-    delta = np.asarray(targets, dtype=float).reshape(-1, 3) - p0
-    n = np.maximum(1, np.ceil(np.linalg.norm(delta, axis=1) / step).astype(int))
+    points = np.asarray(targets, dtype=float).reshape(-1, 3)
+    ends = np.concatenate([points[:, :2], p0[None, :2]])
+    xmin, xmax, ymin, ymax = grid.extent
+    if not np.all((ends >= (xmin, ymin)) & (ends <= (xmax, ymax))):
+        _check_inside(grid, ends[:, 0], ends[:, 1])
+    delta = points - p0
+    # np.linalg.norm(delta, axis=1), without its dispatch
+    n = np.maximum(1, np.ceil(np.sqrt(np.add.reduce(delta * delta, axis=1)) / step).astype(int))
     counts = n - 1
     ray = np.repeat(np.arange(n.size), counts)
     first = np.cumsum(counts) - counts  # index of each ray's first sample
     t = (np.arange(ray.size) - first[ray] + 1) / n[ray]
-    xs = p0[0] + t * delta[ray, 0]
-    ys = p0[1] + t * delta[ray, 1]
-    zs = p0[2] + t * delta[ray, 2]
-    passed = zs >= elevation_at(grid, xs, ys)
+    samples = p0 + t[:, None] * delta[ray]
+    passed = samples[:, 2] >= _interpolate(grid, samples[:, 0], samples[:, 1])
     clear = np.ones(n.size, dtype=bool)
     clear[ray[~passed]] = False
     return clear

@@ -20,7 +20,7 @@ from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraPose, DensityGrid,
                        FieldState, GridSpec, HedacParams, MonteCarloConfig,
                        PotentialSolver, SensingParams, TargetTracker, TerrainGrid,
                        accumulate_coverage, binomial_band, default_recall_table, detection_rate,
-                       elevation_at, gsd, plan_tiles, recall_lookup,
+                       elevation_at, gsd, ground_under, plan_tiles, recall_lookup,
                        recall_per_bin, remap_labels, run_mission)
 from uavsearch.cli import main as cli_main
 from uavsearch.tiling import BoxLabel, Detection, ImageMeta
@@ -122,8 +122,10 @@ def test_03_decay_law_and_monotone_accomplishment(
     rate = detection_rate(pose, (cx, cy), camera, terrain, table, params)
     initial = density.values[row, col]
     probes = {}
+    ground = ground_under(terrain, density.grid)
     for tick in range(1, 101):
-        accumulate_coverage(field, pose, camera, terrain, table, params, dt=1.0)
+        accumulate_coverage(field, pose, camera, terrain, table, params, dt=1.0,
+                            ground=ground)
         if tick in (1, 10, 100):
             probes[tick] = field.undetected[row, col] / initial
     for t, measured in probes.items():

@@ -1,13 +1,14 @@
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from uavsearch import (UAV_PRESETS, ControlInput, ControlLimitError, MpcConfig,
-                       MpcInfeasibleError, Planner, TerrainGrid, UavLimits,
-                       UavState, evaluate_plan, kinematic_step, mpc_plan,
+                       MpcInfeasibleError, Planner, TerrainError, TerrainGrid, UavLimits,
+                       UavState, elevation_at, evaluate_plan, kinematic_step, mpc_plan,
                        ramp_displacement, ramp_toward, turn_rate_toward,
                        validate_control, wrap_angle)
 
@@ -333,11 +334,34 @@ def hilly_terrain(rng):
                        cell_size=cell, nodata=-9999.0, elevations=elev)
 
 
-@pytest.mark.parametrize("limits", [ORACLE_LIMITS, TIGHT_LIMITS],
-                         ids=["wide-accel", "tight-accel"])
-def test_mpc_matches_exhaustive_search(limits):
+# variant with skewed acceleration bounds: its predecessor sets are not
+# nested and its membership atoms differ from its sets
+SKEW_LIMITS = replace(ORACLE_LIMITS, name="probe_skew",
+                      a_h_min=-1.5, a_h_max=1.0, a_v_min=-0.9, a_v_max=0.8)
+SKEW_CONFIG = MpcConfig(speed_levels=4, incline_levels=5, altitude_bucket=1.0)
+
+
+def random_lattice(seed):
+    rng = np.random.default_rng(seed)
+    return MpcConfig(speed_levels=int(rng.integers(2, 5)),
+                     incline_levels=int(rng.integers(3, 6)),
+                     altitude_bucket=float(rng.uniform(0.6, 3.0)))
+
+
+@pytest.mark.parametrize("limits, config", [
+    (ORACLE_LIMITS, ORACLE_CONFIG), (TIGHT_LIMITS, ORACLE_CONFIG),
+    (SKEW_LIMITS, SKEW_CONFIG), (ORACLE_LIMITS, random_lattice(1)),
+    (TIGHT_LIMITS, random_lattice(2)), (SKEW_LIMITS, random_lattice(3)),
+], ids=["wide-accel", "tight-accel", "skew-accel", "wide-random-lattice",
+        "tight-random-lattice", "skew-random-lattice"])
+def test_mpc_matches_exhaustive_search(limits, config):
     rng = np.random.default_rng(77)
-    planner = Planner(limits, ORACLE_CONFIG, *ORACLE_CLEARANCES)
+    planner = Planner(limits, config, *ORACLE_CLEARANCES)
+    if limits is SKEW_LIMITS and config is SKEW_CONFIG:
+        sets = planner.pred_sets
+        assert len({row.tobytes() for row in sets}) != sets.shape[1]
+        assert any(not np.all(sets[:, a] <= sets[:, b]) and not np.all(sets[:, b] <= sets[:, a])
+                   for a in range(sets.shape[1]) for b in range(a))
     from uavsearch import elevation_at
     planned = 0
     for _ in range(10):
@@ -352,7 +376,7 @@ def test_mpc_matches_exhaustive_search(limits):
             v_z=float(rng.uniform(limits.v_z_min, limits.v_z_max)),
         )
         want_cost, want_seq = brute_force_plan(
-            state, state.heading, grid, limits, ORACLE_CONFIG)
+            state, state.heading, grid, limits, config)
         try:
             plan = mpc_plan(state, state.heading, grid, planner)
         except MpcInfeasibleError:
@@ -365,6 +389,74 @@ def test_mpc_matches_exhaustive_search(limits):
         assert got_cost == pytest.approx(want_cost, abs=1e-9)
         planned += 1
     assert planned >= 7  # the sweep must mostly produce real plans
+
+
+def reference_stages(planner, state, heading, grid):
+    """The stage model the direct way: a meshgrid of the window, one
+    masked maximum per disc, ramp_displacement per lattice v_z and
+    elevation_at at the clipped reference points."""
+    limits, dt = planner.limits, planner.dt
+    steps = limits.mpc_steps
+    radii = np.arange(1, steps + 1) * dt * limits.v_h_max + 0.75 * grid.cell_size
+    rows, cols = grid.cells.window(state.x, state.y, radii[-1])
+    block = grid.elevations[rows, cols]
+    bx, by = np.meshgrid(grid.x_centers[cols], grid.y_centers[rows])
+    dist = np.where(block == grid.nodata, np.inf, np.hypot(bx - state.x, by - state.y))
+    floors = []
+    for radius in radii:
+        nearby = block[dist <= radius]
+        top = float(nearby.max()) if nearby.size else elevation_at(grid, state.x, state.y)
+        floors.append(top + planner.min_clearance + planner.margin)
+    ramp = np.array([ramp_displacement(state.v_z, float(v), limits.a_v_min,
+                                       limits.a_v_max, dt) for v in planner.v_z])
+    reachable = state.z + float(ramp.max()) + np.arange(steps) * limits.v_z_max * dt
+    xmin, xmax, ymin, ymax = grid.extent
+    v_nominal = min(max(state.v_h, 0.0), limits.v_h_max)
+    k = np.arange(1, steps + 1)
+    px = np.clip(state.x + math.cos(heading) * k * dt * v_nominal, xmin, xmax)
+    py = np.clip(state.y + math.sin(heading) * k * dt * v_nominal, ymin, ymax)
+    refs = elevation_at(grid, px, py) + planner.goal_clearance
+    return ramp, np.minimum(floors, reachable), refs
+
+
+def test_stage_model_matches_reference():
+    # ramp_dz, the one-pass floors and the plain-float references equal
+    # the direct computation bit for bit, over random states (some with
+    # v_z on a lattice value) on terrain with and without nodata cells,
+    # and for a vehicle whose climb rate bound is zero
+    rng = np.random.default_rng(404)
+    still = replace(MAVIC, name="still", a_v_max=0.0)
+    raised = 0
+    for limits in (M210, MAVIC, still):
+        planner = Planner(limits, MpcConfig(), 35.0, 55.0)
+        for n in range(700):
+            if n % 50 == 0:
+                grid = hilly_terrain(rng)
+                if n % 100 == 50:
+                    # a high sentinel, so that a nodata cell left in a
+                    # disc would raise its floor
+                    elev = grid.elevations.copy()
+                    elev[rng.integers(0, 60, 25), rng.integers(0, 60, 25)] = 9999.0
+                    grid = replace(grid, nodata=9999.0, elevations=elev)
+            v_z = (float(rng.choice(planner.v_z)) if n % 3 == 0
+                   else float(rng.uniform(limits.v_z_min, limits.v_z_max)))
+            state = UavState(x=float(rng.uniform(30, 570)), y=float(rng.uniform(30, 570)),
+                             z=float(rng.uniform(0, 150)),
+                             heading=float(rng.uniform(-math.pi, math.pi)),
+                             v_h=float(rng.uniform(-1.0, limits.v_h_max + 1.0)), v_z=v_z)
+            outcomes = []
+            for stages in (planner.stages, partial(reference_stages, planner)):
+                try:
+                    outcomes.append(stages(state, state.heading, grid))
+                except TerrainError as exc:
+                    outcomes.append(str(exc))
+            if isinstance(outcomes[1], str):
+                assert outcomes[0] == outcomes[1]
+                raised += 1
+                continue
+            for got, want in zip(*outcomes):
+                np.testing.assert_array_equal(got, want)
+    assert 0 < raised < 300  # nodata near some states, not most
 
 
 @pytest.mark.parametrize("limits", [M210, MAVIC, ORACLE_LIMITS],

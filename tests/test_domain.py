@@ -5,6 +5,7 @@ from uavsearch import (DomainError, GridSpec, Zone, bilinear_on_grid,
                        build_flight_domain, build_initial_density,
                        point_in_polygon, points_in_polygon, polygon_area,
                        zone_membership)
+from uavsearch.domain import gradient_on_grid
 
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
 # L shape: 1020x10 foot strip plus a 650x650 upright on the left
@@ -205,3 +206,28 @@ def test_bilinear_on_grid_linear_field_and_clamping():
     assert left == pytest.approx(bilinear_on_grid(g, values, 1.0, 9.0))
     corner = bilinear_on_grid(g, values, 1e6, -1e6)
     assert corner == pytest.approx(float(values[0, -1]))
+
+
+def test_gradient_on_grid_matches_interpolated_full_gradient():
+    # the four-node plain-float gradient equals bilinear_on_grid of
+    # np.gradient bit for bit: at random points, on the cell-center
+    # lines, at the centers, on the edges and in the outer half-cell ring
+    rng = np.random.default_rng(17)
+    for ncols, nrows in ((9, 6), (2, 5), (1, 4), (7, 1)):
+        g = GridSpec(x_origin=float(rng.uniform(-80, 80)), y_origin=float(rng.uniform(-80, 80)),
+                     cell_size=float(rng.uniform(1.5, 30.0)), ncols=ncols, nrows=nrows)
+        values = rng.normal(size=g.shape)
+        # np.gradient needs two points; an axis of one cell has none
+        grad_y, grad_x = (np.gradient(values, g.cell_size, axis=axis) if g.shape[axis] > 1
+                          else np.zeros(g.shape) for axis in (0, 1))
+        xmin, xmax, ymin, ymax = g.rect
+        xs = [float(x) for x in rng.uniform(xmin, xmax, 60)] + [float(x) for x in g.x_centers]
+        ys = [float(y) for y in rng.uniform(ymin, ymax, 60)] + [float(y) for y in g.y_centers]
+        points = list(zip(xs, ys))
+        points += [(x, float(rng.uniform(ymin, ymax))) for x in g.x_centers]
+        points += [(float(rng.uniform(xmin, xmax)), y) for y in g.y_centers]
+        points += [(x, y) for x in (xmin, xmax) for y in (ymin, ymax)]
+        for x, y in points:
+            gx, gy = gradient_on_grid(g, values, float(x), float(y))
+            assert gx == bilinear_on_grid(g, grad_x, x, y), (ncols, nrows, x, y)
+            assert gy == bilinear_on_grid(g, grad_y, x, y), (ncols, nrows, x, y)

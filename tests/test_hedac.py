@@ -6,8 +6,8 @@ from uavsearch import (CAMERA_PRESETS, CameraPose, DensityGrid, FieldState,
                        GridSpec, HedacParams, PotentialSolver, SensingParams,
                        SolverError, TerrainGrid, accomplishment,
                        accumulate_coverage, default_recall_table,
-                       bilinear_on_grid, neumann_laplacian, solve_potential,
-                       steering_gradient)
+                       bilinear_on_grid, ground_under, neumann_laplacian,
+                       solve_potential, steering_gradient)
 
 
 def small_grid(ncols=7, nrows=5, cell=10.0):
@@ -141,8 +141,10 @@ def test_accumulate_coverage_exponential_decay():
     from uavsearch import detection_rate
     rate00 = detection_rate(pose, (45.0, 45.0), cam, terrain, table, params)
     assert rate00 > 0
+    ground = ground_under(terrain, grid)
     for _ in range(100):
-        accumulate_coverage(state, pose, cam, terrain, table, params, dt=1.0)
+        accumulate_coverage(state, pose, cam, terrain, table, params, dt=1.0,
+                            ground=ground)
     r, c = grid.cell_index(45.0, 45.0)
     assert state.coverage[r, c] == pytest.approx(100.0 * rate00, rel=1e-12)
     want = 1e-4 * np.exp(-100.0 * rate00)
@@ -159,11 +161,12 @@ def test_accomplishment_monotone_under_random_sensing():
     table = default_recall_table()
     params = SensingParams()
     previous = 0.0
+    ground = ground_under(terrain, grid)
     for _ in range(60):
         pose = CameraPose(x=rng.uniform(0, 120), y=rng.uniform(0, 120),
                           z=rng.uniform(40, 90), yaw=rng.uniform(-np.pi, np.pi))
         accumulate_coverage(state, pose, cam, terrain, table, params,
-                            dt=float(rng.uniform(0.2, 2.0)))
+                            dt=float(rng.uniform(0.2, 2.0)), ground=ground)
         eta = accomplishment(state)
         assert eta >= previous
         assert eta <= 1.0
@@ -180,7 +183,8 @@ def test_accumulate_rejects_negative_dt():
     pose = CameraPose(0.0, 0.0, 50.0, 0.0)
     with pytest.raises(ValueError):
         accumulate_coverage(state, pose, CAMERA_PRESETS["X5S"], flat_terrain(),
-                            default_recall_table(), SensingParams(), dt=-0.1)
+                            default_recall_table(), SensingParams(), dt=-0.1,
+                            ground=ground_under(flat_terrain(), grid))
 
 
 def test_steering_gradient_points_uphill():

@@ -6,10 +6,11 @@ import pytest
 
 from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraPose, DensityGrid, FieldState,
                        FlightConfig, GridSpec, HedacParams, MissionConfig, MissionError,
-                       MonteCarloConfig, MpcInfeasibleError, TargetTracker, TerrainGrid, Zone,
-                       binomial_band, build_initial_density,
-                       detection_rate_footprint, elevation_at,
-                       monte_carlo_validate, prepare_environment, run_mission)
+                       MonteCarloConfig, MpcInfeasibleError, TargetTracker, TerrainGrid,
+                       UavState, Zone, binomial_band, build_initial_density,
+                       detection_rate_footprint, elevation_at, ground_under,
+                       monte_carlo_validate, prepare_environment, run_flight,
+                       run_mission)
 
 NCOLS = NROWS = 42
 CELL = 10.0
@@ -87,9 +88,11 @@ def test_nodata_outside_the_domain_changes_nothing():
     for t, x, y, z, heading, *_ in want.logs[0].rows[::4]:
         pose = CameraPose(x=x, y=y, z=z, yaw=heading)
         a = detection_rate_footprint(pose, camera, clean.terrain, env.recall,
-                                     clean.sensing, env.domain.grid)
+                                     clean.sensing, env.domain.grid,
+                                     ground_under(clean.terrain, env.domain.grid))
         b = detection_rate_footprint(pose, camera, holed.terrain, env.recall,
-                                     clean.sensing, env.domain.grid)
+                                     clean.sensing, env.domain.grid,
+                                     ground_under(holed.terrain, env.domain.grid))
         assert (b[0], b[1]) == (a[0], a[1]), t
         np.testing.assert_array_equal(b[2], a[2])
 
@@ -212,6 +215,27 @@ def test_connected_flights_carry_state():
         assert second[key][0] == pytest.approx(first[key][-1], abs=1e-12), key
     assert second["t"][0] == 0.0  # per-flight clock restarts
     assert report.times[-1] == 20.0
+
+
+def test_ground_cached_once_per_mission():
+    config = tiny_config([one_flight()])
+    env = prepare_environment(config)
+    xs, ys = env.domain.grid.center_mesh()
+    np.testing.assert_array_equal(env.ground, elevation_at(config.terrain, xs, ys))
+
+
+def test_below_ground_error_names_flight_time_and_pose():
+    # a carried state under the terrain fails on its first log row, at
+    # the mission time the flight starts
+    config = tiny_config([one_flight(duration=4), one_flight(duration=4, start=None)])
+    env = prepare_environment(config)
+    ground = elevation_at(config.terrain, 40.0, 60.0)
+    carried = UavState(x=40.0, y=60.0, z=ground - 2.0, heading=0.5)
+    with pytest.raises(MissionError) as err:
+        run_flight(FieldState.from_density(env.density), env, 1, carried, base_time=4.0)
+    assert str(err.value) == (
+        f"flight 1: vehicle below ground at mission time 4 s, pose "
+        f"(40.00, 60.00, {ground - 2.0:.2f}, heading 0.5000): terrain {ground:.2f}")
 
 
 def test_split_flight_matches_single_flight():

@@ -7,7 +7,7 @@ from uavsearch import (CAMERA_PRESETS, CameraModel, CameraPose, GridSpec,
                        RecallTable, SensingParams, TerrainGrid,
                        default_recall_table, detection_rate,
                        detection_rate_footprint, format_recall_table, gsd,
-                       in_fov, load_recall_table, recall_lookup,
+                       ground_under, in_fov, load_recall_table, recall_lookup,
                        to_camera_frame)
 from uavsearch.sensing import SensingError
 
@@ -214,12 +214,13 @@ def test_footprint_matches_scalar_rate():
                      ncols=ncols, nrows=nrows)
     table = default_recall_table()
     params = SensingParams()
+    ground = ground_under(grid, cells)
     for cam in CAMERA_PRESETS.values():
         for _ in range(6):
             pose = CameraPose(x=rng.uniform(100, 400), y=rng.uniform(100, 340),
                               z=rng.uniform(60, 140), yaw=rng.uniform(-np.pi, np.pi))
             rows, cols, rates = detection_rate_footprint(
-                pose, cam, grid, table, params, cells)
+                pose, cam, grid, table, params, cells, ground)
             full = np.zeros(cells.shape)
             full[rows, cols] = rates
             xs, ys = cells.center_mesh()
@@ -239,5 +240,5 @@ def test_footprint_empty_when_underground():
     pose = CameraPose(x=50.0, y=50.0, z=90.0, yaw=0.0)  # below all terrain
     rows, cols, rates = detection_rate_footprint(
         pose, CAMERA_PRESETS["X5S"], grid, default_recall_table(),
-        SensingParams(), cells)
+        SensingParams(), cells, ground_under(grid, cells))
     assert rates.size == 0

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from uavsearch import (HomePoint, TerrainError, TerrainGrid, bilinear_on_grid,
-                       clear_rays, elevation_at, line_of_sight, load_terrain,
-                       relative_height, save_terrain)
+from uavsearch import (GridSpec, HomePoint, TerrainError, TerrainGrid, bilinear_on_grid,
+                       clear_rays, elevation_at, ground_at, ground_under, line_of_sight,
+                       load_terrain, relative_height, save_terrain)
 
 
 def flat_grid(value=100.0, ncols=12, nrows=10, cell=10.0, x0=0.0, y0=0.0):
@@ -137,6 +137,61 @@ def test_elevation_matches_grid_interpolation_inside_hull():
     np.testing.assert_array_equal(elevation_at(grid, xs, ys),
                                   bilinear_on_grid(grid.cells, grid.elevations, xs, ys))
     np.testing.assert_array_equal(elevation_at(grid, X, Y), grid.elevations)
+
+
+def test_ground_at_matches_elevation_at():
+    # the plain-float point query gives elevation_at's float exactly: at
+    # random points, on the cell-center lines, at the centers and on the
+    # hull's edges and corners
+    rng = np.random.default_rng(5)
+    grid = TerrainGrid(ncols=11, nrows=7, xllcorner=-13.7, yllcorner=402.3,
+                       cell_size=3.3, nodata=-9999.0,
+                       elevations=rng.uniform(-40, 900, size=(7, 11)))
+    xmin, xmax, ymin, ymax = grid.extent
+    xc, yc = grid.x_centers, grid.y_centers
+    points = [(float(x), float(y)) for x, y in
+              zip(rng.uniform(xmin, xmax, 400), rng.uniform(ymin, ymax, 400))]
+    points += [(float(x), float(rng.uniform(ymin, ymax))) for x in xc]
+    points += [(float(rng.uniform(xmin, xmax)), float(y)) for y in yc]
+    points += [(float(x), float(y)) for x in xc for y in yc]
+    points += [(x, y) for x in (xmin, xmax) for y in rng.uniform(ymin, ymax, 5)]
+    points += [(x, y) for y in (ymin, ymax) for x in rng.uniform(xmin, xmax, 5)]
+    points += [(x, y) for x in (xmin, xmax) for y in (ymin, ymax)]
+    for x, y in points:
+        got = ground_at(grid, float(x), float(y))
+        assert type(got) is float
+        assert got == elevation_at(grid, x, y), (x, y)
+
+
+def test_ground_at_supported_by_nodata_raises():
+    elev = np.full((10, 12), 100.0)
+    elev[4, 6] = -9999.0  # center (65, 45)
+    grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
+                       cell_size=10.0, nodata=-9999.0, elevations=elev)
+    assert ground_at(grid, 50.0, 30.0) == 100.0
+    with pytest.raises(TerrainError) as err:
+        ground_at(grid, 60.0, 40.0)
+    assert str(err.value) == "query point supported by a nodata cell"
+
+
+def test_ground_under_matches_elevation_at_centers():
+    # more than 2048 cells, so the ground is built in several row bands
+    rng = np.random.default_rng(9)
+    grid = TerrainGrid(ncols=80, nrows=70, xllcorner=-5.0, yllcorner=12.0,
+                       cell_size=7.0, nodata=-9999.0,
+                       elevations=rng.uniform(0, 500, size=(70, 80)))
+    cells = GridSpec(x_origin=1.5, y_origin=18.0, cell_size=4.1, ncols=130, nrows=110)
+    xs, ys = cells.center_mesh()
+    np.testing.assert_array_equal(ground_under(grid, cells), elevation_at(grid, xs, ys))
+    with pytest.raises(TerrainError) as err:
+        ground_under(grid, GridSpec(x_origin=-20.0, y_origin=18.0, cell_size=4.1,
+                                    ncols=5, nrows=5))
+    assert "outside terrain extent" in str(err.value)
+    elev = grid.elevations.copy()
+    elev[40, 40] = grid.nodata
+    with pytest.raises(TerrainError) as err:
+        ground_under(dataclasses.replace(grid, elevations=elev), cells)
+    assert str(err.value) == "query point supported by a nodata cell"
 
 
 def test_elevation_outside_extent_raises():
