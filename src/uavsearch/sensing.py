@@ -312,12 +312,10 @@ def detection_rate_footprint(pose: CameraPose, camera: CameraModel,
 
     rows, cols = np.nonzero(visible)
     horizontal_gsd, _ = gsd(camera, 1.0)
-    seen_depth = depth[rows, cols]
-    gsd_values = horizontal_gsd * seen_depth
+    gsd_values = horizontal_gsd * depth[rows, cols]
     recalls = recall_lookup(table, gsd_values)
-    seen_rx, seen_ry, seen_rz = rx[rows, cols], ry[rows, cols], rz[rows, cols]
-    norms = np.sqrt(seen_rx ** 2 + seen_ry ** 2 + seen_rz ** 2)
-    cos_off = seen_depth / norms
+    norms = np.sqrt(rx[rows, cols] ** 2 + ry[rows, cols] ** 2 + rz[rows, cols] ** 2)
+    cos_off = depth[rows, cols] / norms
     values = params.rate_scale * recalls * cos_off ** params.falloff_exponent
     targets = np.stack([xs[cols], ys[rows], block_ground[rows, cols]], axis=1)
     clear = terrain_mod.clear_rays(grid, (pose.x, pose.y, pose.z), targets)

@@ -287,9 +287,7 @@ def clear_rays(grid: TerrainGrid, origin, targets, step: float | None = None,
     p0 = np.asarray(origin, dtype=float)
     points = np.asarray(targets, dtype=float).reshape(-1, 3)
     ends = np.concatenate([points[:, :2], p0[None, :2]])
-    xmin, xmax, ymin, ymax = grid.extent
-    if not np.all((ends >= (xmin, ymin)) & (ends <= (xmax, ymax))):
-        _check_inside(grid, ends[:, 0], ends[:, 1])
+    _check_inside(grid, ends[:, 0], ends[:, 1])
     delta = points - p0
     # np.linalg.norm(delta, axis=1), without its dispatch
     n = np.maximum(1, np.ceil(np.sqrt(np.add.reduce(delta * delta, axis=1)) / step).astype(int))
