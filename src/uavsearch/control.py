@@ -274,14 +274,15 @@ class Planner:
     Controls whose rows of pred_sets are equal belong to the same sets
     and form one membership atom: a stage reduces each atom with one
     np.minimum.reduceat over the controls sorted by atom, then each set
-    over its atoms (21 atoms for 78 controls on the M210, 7 for 66 on
-    the Mavic2ED). Altitude lives on n_buckets buckets, half either
-    side of the start; dz_buckets is each control's climb per stage in
-    buckets, so after stage i only buckets half + i * [min dz, max dz]
-    can be reached. The flat int32 gather index reads, for each control
-    and bucket, its set's stage minimum at the bucket before the climb,
-    or an inf column when that bucket lies off the lattice. margin, one
-    pull-up distance plus one bucket, is added to the terrain floor.
+    over its atoms (with the default lattice, 21 atoms for 78 controls
+    on the M210, 7 for 66 on the Mavic2ED). Altitude lives on n_buckets
+    buckets, half either side of the start; dz_buckets is each
+    control's climb per stage in buckets, so after stage i only buckets
+    half + i * [min dz, max dz] can be reached. The flat int32 gather
+    index reads, for each control and bucket, its set's stage minimum
+    at the bucket before the climb, or an inf column when that bucket
+    lies off the lattice. margin, one pull-up distance plus one bucket,
+    is added to the terrain floor.
     """
 
     def __init__(self, limits: UavLimits, config: MpcConfig, min_clearance: float,
