@@ -7,8 +7,8 @@ zone shifts the gradient toward what is still unseen.
 
 import numpy as np
 
-from uavsearch import (DensityGrid, FieldState, GridSpec, HedacParams,
-                       solve_potential, steering_gradient)
+from uavsearch import (DensityGrid, FieldState, GridSpec, HedacParams, PotentialSolver,
+                       steering_gradient)
 
 grid = GridSpec(x_origin=0.0, y_origin=0.0, cell_size=10.0, ncols=40, nrows=30)
 
@@ -20,8 +20,8 @@ values /= values.sum() * grid.cell_area
 density = DensityGrid(grid=grid, values=values)
 
 state = FieldState.from_density(density)
-params = HedacParams(diffusion=3000.0, damping=1.0)
-solve_potential(state, params)
+solver = PotentialSolver(grid, HedacParams(diffusion=3000.0, damping=1.0))
+solver.refresh(state)
 
 print(f"potential range: {state.potential.min():.3e} to {state.potential.max():.3e}")
 peak = np.unravel_index(state.potential.argmax(), grid.shape)
@@ -36,7 +36,7 @@ for x, y in ((200.0, 150.0), (60.0, 60.0), (350.0, 250.0)):
 # sweep coverage over the heavy blob and watch the field flip
 state.coverage[16:24, 28:36] = 6.0
 np.multiply(state.initial.values, np.exp(-state.coverage), out=state.undetected)
-solve_potential(state, params)
+solver.refresh(state)
 direction = steering_gradient(state, (200.0, 150.0))
 heading = np.degrees(np.arctan2(direction[1], direction[0]))
 print(f"\nafter covering the heavy blob, steering at (200, 150) "

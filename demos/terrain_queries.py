@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uavsearch import elevation_at, line_of_sight, load_terrain, relative_height
+from uavsearch import elevation_at, line_of_sight, load_terrain
 
 terrain = load_terrain(Path(__file__).resolve().parents[1] / "scenarios" / "terrain.asc")
 print(f"grid: {terrain.ncols} x {terrain.nrows} cells of {terrain.cell_size:g} m")
@@ -24,8 +24,8 @@ ys = np.full_like(xs, 600.0)
 print("profile along y=600:", np.round(elevation_at(terrain, xs, ys), 1))
 
 # height of a hovering vehicle above the ground directly below it
-drone = (800.0, 600.0, 55.0 + float(elevation_at(terrain, 800.0, 600.0)))
-print("\nclearance at 55 m goal altitude:", round(relative_height(terrain, drone), 2))
+x, y, z = 800.0, 600.0, 55.0 + float(elevation_at(terrain, 800.0, 600.0))
+print("\nclearance at 55 m goal altitude:", round(z - float(elevation_at(terrain, x, y)), 2))
 
 # a viewpoint high above sees across the valley; a low one does not
 peak_xy = np.unravel_index(terrain.elevations.argmax(), terrain.elevations.shape)

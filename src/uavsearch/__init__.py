@@ -15,14 +15,12 @@ from .control import (UAV_PRESETS, ControlInput, MpcConfig, Planner, UavLimits,
                       validate_control, wrap_angle)
 from .domain import (DensityGrid, DomainError, GridSpec, SearchDomain, Zone,
                      bilinear_on_grid, build_flight_domain, build_initial_density,
-                     point_in_polygon, points_in_polygon, polygon_area,
-                     zone_membership)
+                     points_in_polygon, polygon_area, zone_membership)
 from .errors import (ControlLimitError, MissionError, MpcInfeasibleError,
                      ScenarioError, SolverError, TerrainError, TilingError,
                      UavSearchError)
 from .hedac import (FieldState, HedacParams, PotentialSolver, accomplishment,
-                    accumulate_coverage, neumann_laplacian, solve_potential,
-                    steering_gradient)
+                    accumulate_coverage, neumann_laplacian, steering_gradient)
 from .exports import (export_mission, export_validation, mission_summary,
                       write_grid_pgm, write_timing)
 from .mission import (NO_FLY_FLOOR, FlightConfig, FlightLog, MissionConfig, MissionEnv,
@@ -32,11 +30,10 @@ from .mission import (NO_FLY_FLOOR, FlightConfig, FlightLog, MissionConfig, Miss
 from .scenario import apply_override, load_scenario, parse_scenario
 from .sensing import (CAMERA_PRESETS, CameraModel, CameraPose, RecallTable,
                       SensingParams, default_recall_table, detection_rate,
-                      detection_rate_footprint, format_recall_table, gsd,
-                      in_fov, load_recall_table, recall_lookup, to_camera_frame)
-from .terrain import (HomePoint, TerrainGrid, clear_rays, elevation_at, ground_at,
-                      ground_under, line_of_sight, load_terrain, relative_height,
-                      save_terrain)
+                      detection_rate_footprint, gsd, in_fov, load_recall_table,
+                      recall_lookup, to_camera_frame)
+from .terrain import (TerrainGrid, clear_rays, elevation_at, ground_at, ground_under,
+                      line_of_sight, load_terrain, save_terrain)
 from .tiling import (BinRecall, BoxLabel, Detection, ImageMeta, TileRect,
                      TilingPlan, axis_offsets, gsd_bin, iou, match_detections,
                      plan_tiles, recall_per_bin, remap_labels, tile_name)
@@ -49,13 +46,12 @@ __all__ = [
     "ramp_displacement", "ramp_toward",
     "turn_rate_toward", "validate_control", "wrap_angle",
     "DensityGrid", "DomainError", "GridSpec", "SearchDomain", "Zone", "bilinear_on_grid",
-    "build_flight_domain", "build_initial_density", "point_in_polygon",
+    "build_flight_domain", "build_initial_density",
     "points_in_polygon", "polygon_area", "zone_membership",
     "ControlLimitError", "MissionError", "MpcInfeasibleError", "ScenarioError",
     "SolverError", "TerrainError", "TilingError", "UavSearchError",
     "FieldState", "HedacParams", "PotentialSolver", "accomplishment",
-    "accumulate_coverage", "neumann_laplacian", "solve_potential",
-    "steering_gradient",
+    "accumulate_coverage", "neumann_laplacian", "steering_gradient",
     "NO_FLY_FLOOR", "FlightConfig", "FlightLog", "MissionConfig", "MissionEnv",
     "MissionReport", "MonteCarloConfig", "SyntheticTarget", "TargetTracker",
     "ValidationReport", "binomial_band", "monte_carlo_validate",
@@ -65,11 +61,10 @@ __all__ = [
     "apply_override", "load_scenario", "parse_scenario",
     "CAMERA_PRESETS", "CameraModel", "CameraPose", "RecallTable",
     "SensingParams", "default_recall_table", "detection_rate",
-    "detection_rate_footprint", "format_recall_table", "gsd", "in_fov",
+    "detection_rate_footprint", "gsd", "in_fov",
     "load_recall_table", "recall_lookup", "to_camera_frame",
-    "HomePoint", "TerrainGrid", "clear_rays", "elevation_at", "ground_at",
-    "ground_under", "line_of_sight",
-    "load_terrain", "relative_height", "save_terrain",
+    "TerrainGrid", "clear_rays", "elevation_at", "ground_at",
+    "ground_under", "line_of_sight", "load_terrain", "save_terrain",
     "BinRecall", "BoxLabel", "Detection", "ImageMeta", "TileRect",
     "TilingPlan", "axis_offsets", "gsd_bin", "iou", "match_detections",
     "plan_tiles", "recall_per_bin", "remap_labels", "tile_name",

@@ -10,9 +10,11 @@ Four subcommands:
 
 Exit codes: 0 success; 2 for usage and input problems: any scenario
 key or value that fails at load (validate's --targets and --seed are
-monte_carlo overrides), unreadable files, invalid tiling geometry; 1 for
-failures during a run, including the mission checks that need the built
-flight domain (preset names, zone subsets, starts, terrain cover).
+monte_carlo overrides), including each flight's vehicle and camera
+preset names, its zone subset and the first flight's start, unreadable
+files, invalid tiling geometry; 1 for failures during a run, including
+the mission checks that need the built flight domain (a start outside
+it, terrain cover, the replan period).
 Errors print as a single "uavsearch: error: ..." line on stderr.
 
 Label files use the plain text-per-image convention: one box per line,

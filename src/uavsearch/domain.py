@@ -160,7 +160,8 @@ def points_in_polygon(polygon: np.ndarray, x, y, eps: float = 1e-9) -> np.ndarra
     """Vectorized even-odd point-in-polygon test, boundary inclusive.
 
     Points within eps (absolute, in coordinate units) of an edge count
-    as inside. x and y may be any matching-shape arrays.
+    as inside. x and y may be any matching-shape arrays, or scalars for
+    a single bool.
     """
     poly = np.asarray(polygon, dtype=float)
     if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
@@ -192,11 +193,6 @@ def points_in_polygon(polygon: np.ndarray, x, y, eps: float = 1e-9) -> np.ndarra
         inside ^= crosses & (px < np.where(crosses, x_cross, np.inf))
     result = inside | boundary
     return result.reshape(shape) if shape else bool(result[0])
-
-
-def point_in_polygon(polygon, point) -> bool:
-    """Scalar convenience wrapper around points_in_polygon."""
-    return bool(points_in_polygon(polygon, float(point[0]), float(point[1])))
 
 
 @dataclass(frozen=True)

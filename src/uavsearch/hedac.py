@@ -150,12 +150,6 @@ class PotentialSolver:
         state.potential = self.solve(state.undetected)
 
 
-def solve_potential(state: FieldState, params: HedacParams) -> np.ndarray:
-    """One-shot potential solve; updates and returns state.potential."""
-    state.potential = PotentialSolver(state.grid, params).solve(state.undetected)
-    return state.potential
-
-
 def steering_gradient(state: FieldState, position) -> np.ndarray | None:
     """Unit ascent direction of the potential at an (x, y) position.
 

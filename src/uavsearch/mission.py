@@ -36,14 +36,13 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .control import (UAV_PRESETS, ControlInput, MpcConfig, Planner, UavLimits,
-                      UavState, kinematic_step, mpc_plan, ramp_toward,
-                      turn_rate_toward, wrap_angle)
+from .control import (ControlInput, MpcConfig, Planner, UavLimits, UavState,
+                      kinematic_step, mpc_plan, ramp_toward, turn_rate_toward,
+                      wrap_angle)
 from .domain import DensityGrid, SearchDomain, Zone, build_flight_domain, build_initial_density
 from .errors import MissionError, MpcInfeasibleError
 from .hedac import FieldState, HedacParams, PotentialSolver, accomplishment, accumulate_coverage, steering_gradient
-from .sensing import (CAMERA_PRESETS, CameraModel, CameraPose, RecallTable, SensingParams,
-                      default_recall_table)
+from .sensing import CameraModel, CameraPose, RecallTable, SensingParams, default_recall_table
 from .terrain import TerrainGrid, elevation_at, first_nodata_under, ground_at, ground_under
 
 SENSE_DT = 1.0       # seconds between sensing / field / heading updates
@@ -54,7 +53,8 @@ _FLAG_EPS = 1e-9
 
 @dataclass(frozen=True)
 class FlightConfig:
-    """One flight of a mission.
+    """One flight of a mission: its vehicle and camera, already resolved
+    from their preset names.
 
     min_altitude and goal_altitude are heights above ground in meters,
     with 35 <= min_altitude <= goal_altitude; the planner keeps
@@ -65,8 +65,8 @@ class FlightConfig:
     metadata (the density and domain are mission-level).
     """
 
-    uav: str
-    camera: str
+    uav: UavLimits
+    camera: CameraModel
     min_altitude: float
     goal_altitude: float
     duration_s: int
@@ -99,7 +99,12 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class MissionConfig:
-    """Everything needed to run a mission."""
+    """Everything needed to run a mission.
+
+    uavs keeps the scenario's own vehicle presets, although each flight
+    already carries its resolved vehicle: bench/checks.py reads it for
+    its independent limits oracle.
+    """
 
     mission_id: str
     terrain: TerrainGrid
@@ -112,8 +117,18 @@ class MissionConfig:
     recall: RecallTable | None = None
     mpc: MpcConfig = MpcConfig()
     uavs: dict[str, UavLimits] | None = None
-    cameras: dict[str, CameraModel] | None = None
     monte_carlo: MonteCarloConfig = MonteCarloConfig()
+
+    def __post_init__(self) -> None:
+        zone_ids = {z.zone_id for z in self.zones}
+        for idx, flight in enumerate(self.flights):
+            unknown = set(flight.zone_ids or ()) - zone_ids
+            if unknown:
+                raise MissionError(
+                    f"flights.{idx}.zones: {sorted(unknown)} not in the mission zones")
+        if self.flights and self.flights[0].start is None:
+            raise MissionError(
+                "flights.0.start: the first flight has no previous flight to continue from")
 
 
 @dataclass
@@ -194,7 +209,6 @@ class FlightSetup:
     None to continue from the previous flight's end state."""
 
     config: FlightConfig
-    camera: CameraModel
     planner: Planner
     replan: int
     start: UavState | None
@@ -237,8 +251,10 @@ def _replan_period(limits: UavLimits, where: str) -> int:
 
 
 def prepare_environment(config: MissionConfig) -> MissionEnv:
-    """Check every input of the mission and resolve each flight's pieces,
-    so that a bad input in any flight fails before the first step."""
+    """Check the mission inputs that need the built flight domain and
+    build each flight's pieces, so that a bad input in any flight fails
+    before the first step. The checks that read only the config are
+    MissionConfig's."""
     domain = build_flight_domain(config.zones, config.offset, config.cell_size)
     xmin, xmax, ymin, ymax = config.terrain.extent
     gx0, gx1, gy0, gy1 = domain.grid.rect
@@ -258,34 +274,17 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
     total_people = sum(z.person_count for z in config.zones)
     density = build_initial_density(config.zones, domain.grid, total_people)
 
-    uavs = {**UAV_PRESETS, **(config.uavs or {})}
-    cameras = {**CAMERA_PRESETS, **(config.cameras or {})}
-    zone_ids = {z.zone_id for z in config.zones}
     setups = []
     for idx, flight in enumerate(config.flights):
-        if flight.uav not in uavs:
-            raise MissionError(f"flight {idx}: unknown vehicle preset {flight.uav!r}")
-        if flight.camera not in cameras:
-            raise MissionError(f"flight {idx}: unknown camera preset {flight.camera!r}")
-        if flight.zone_ids is not None:
-            unknown = set(flight.zone_ids) - zone_ids
-            if unknown:
-                raise MissionError(
-                    f"flight {idx}: zone subset {sorted(unknown)} not in mission zones")
-        if flight.start is None and idx == 0:
-            raise MissionError(
-                "flight 0 has start=None but there is no previous flight state")
         start = None if flight.start is None else _spawn_state(
             flight, config.terrain, domain, idx)
-        where = f"flight {idx} ({flight.uav})"
-        limits = uavs[flight.uav]
-        replan = _replan_period(limits, where)
+        where = f"flight {idx} ({flight.uav.name})"
+        replan = _replan_period(flight.uav, where)
         try:
-            planner = Planner(limits, config.mpc, flight.min_altitude, flight.goal_altitude)
+            planner = Planner(flight.uav, config.mpc, flight.min_altitude, flight.goal_altitude)
         except MpcInfeasibleError as exc:
             raise MpcInfeasibleError(f"{where}: {exc}") from exc
-        setups.append(FlightSetup(config=flight, camera=cameras[flight.camera],
-                                  planner=planner, replan=replan, start=start))
+        setups.append(FlightSetup(config=flight, planner=planner, replan=replan, start=start))
     recall = config.recall if config.recall is not None else default_recall_table()
     return MissionEnv(config=config, domain=domain, density=density, recall=recall,
                       solver=PotentialSolver(domain.grid, config.hedac),
@@ -306,7 +305,7 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     flights carry over.
     """
     setup = env.flights[index]
-    flight, camera, planner = setup.config, setup.camera, setup.planner
+    flight, planner = setup.config, setup.planner
     limits = planner.limits
     terrain = env.config.terrain
 
@@ -316,7 +315,7 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     clamp_hi = (grid_rect[1] - half_cell, grid_rect[3] - half_cell)
 
     state = setup.start if setup.start is not None else replace(carried, t=0.0)
-    log = FlightLog(flight_index=index, uav=flight.uav, camera=flight.camera)
+    log = FlightLog(flight_index=index, uav=flight.uav.name, camera=flight.camera.name)
     eta_now = accomplishment(field_state)
     etas: list[float] = []
     clamp_events = 0
@@ -352,7 +351,7 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     log_row(state, None)
     for k in range(flight.duration_s):
         pose = CameraPose(x=state.x, y=state.y, z=state.z, yaw=state.heading)
-        accumulate_coverage(field_state, pose, camera, terrain,
+        accumulate_coverage(field_state, pose, flight.camera, terrain,
                             env.recall, env.config.sensing, SENSE_DT, env.ground)
         eta_now = accomplishment(field_state)
         etas.append(eta_now)

@@ -7,7 +7,9 @@ dotted path so typos surface immediately instead of silently falling
 back to defaults. The keys of the sections uavs, cameras, hedac,
 sensing, mpc and monte_carlo are the number fields of their config
 dataclasses, and each dataclass checks its own values; this module
-only adds the dotted path to its errors.
+only adds the dotted path to its errors. A flight's uav and camera
+names resolve here, against the built-in presets overlaid by the uavs
+and cameras sections, so the flights carry vehicle and camera objects.
 
 Command-line style overrides use dotted paths into the raw document,
 applied before validation, e.g.
@@ -99,7 +101,15 @@ def _parse_zone(data, index: int) -> Zone:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _parse_flight(data, index: int) -> FlightConfig:
+def _preset(data: dict, key: str, presets: dict, noun: str, path: str):
+    name = _get(data, key, str, path)
+    if name not in presets:
+        raise ScenarioError(f"{path}.{key}: unknown {noun} preset {name!r}")
+    return presets[name]
+
+
+def _parse_flight(data, index: int, vehicles: dict, cameras: dict) -> FlightConfig:
+    """Parse a flight, resolving its uav and camera names in vehicles and cameras."""
     path = f"flights.{index}"
     _check_type(data, dict, path)
     _reject_unknown(data, ("uav", "camera", "min_altitude", "goal_altitude",
@@ -117,8 +127,8 @@ def _parse_flight(data, index: int) -> FlightConfig:
         zone_ids = tuple(_check_type(z, str, f"{path}.zones.{i}")
                          for i, z in enumerate(zone_ids))
     values = dict(
-        uav=_get(data, "uav", str, path),
-        camera=_get(data, "camera", str, path),
+        uav=_preset(data, "uav", vehicles, "vehicle", path),
+        camera=_preset(data, "camera", cameras, "camera", path),
         min_altitude=_get(data, "min_altitude", float, path),
         goal_altitude=_get(data, "goal_altitude", float, path),
         duration_s=_get(data, "duration_s", int, path),
@@ -183,10 +193,15 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
     if len(set(ids)) != len(ids):
         raise ScenarioError("scenario.zones: duplicate zone ids")
 
+    uavs = (_parse_presets(data["uavs"], "uavs", UAV_PRESETS, UavLimits, "vehicle")
+            if "uavs" in data else None)
+    vehicles = {**UAV_PRESETS, **(uavs or {})}
+    cameras = {**CAMERA_PRESETS, **_parse_presets(data.get("cameras", {}), "cameras",
+                                                  CAMERA_PRESETS, CameraModel, "camera")}
     flights_data = _get(data, "flights", list, "scenario")
     if not flights_data:
         raise ScenarioError("scenario.flights: at least one flight is required")
-    flights = tuple(_parse_flight(f, i) for i, f in enumerate(flights_data))
+    flights = tuple(_parse_flight(f, i, vehicles, cameras) for i, f in enumerate(flights_data))
 
     hedac = _build(HedacParams, data.get("hedac", {}), "hedac")
     sensing = _build(SensingParams, data.get("sensing", {}), "sensing")
@@ -200,13 +215,6 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
             recall_path = base_dir / recall_path
         recall = load_recall_table(recall_path)
 
-    uavs = cameras = None
-    if "uavs" in data:
-        uavs = _parse_presets(data["uavs"], "uavs", UAV_PRESETS, UavLimits, "vehicle")
-    if "cameras" in data:
-        cameras = _parse_presets(data["cameras"], "cameras", CAMERA_PRESETS, CameraModel,
-                                 "camera")
-
     cell_size = _get(data, "cell_size", float, "scenario", 10.0)
     offset = _get(data, "offset", float, "scenario", 75.0)
     if cell_size <= 0:
@@ -214,11 +222,13 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
     if offset < 0:
         raise ScenarioError("scenario.offset: must be >= 0")
 
-    return MissionConfig(
-        mission_id=mission_id, terrain=terrain, zones=zones, flights=flights,
-        offset=offset, cell_size=cell_size, hedac=hedac, sensing=sensing,
-        recall=recall, mpc=mpc, uavs=uavs, cameras=cameras,
-        monte_carlo=monte_carlo)
+    try:
+        return MissionConfig(
+            mission_id=mission_id, terrain=terrain, zones=zones, flights=flights,
+            offset=offset, cell_size=cell_size, hedac=hedac, sensing=sensing,
+            recall=recall, mpc=mpc, uavs=uavs, monte_carlo=monte_carlo)
+    except UavSearchError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def apply_override(data: dict, assignment: str) -> None:

@@ -175,12 +175,6 @@ def load_recall_table(path) -> RecallTable:
     return RecallTable(bins=tuple(bins), bin_width=width)
 
 
-def format_recall_table(table: RecallTable) -> str:
-    """Render a RecallTable in the text format load_recall_table reads."""
-    lines = [f"{low:.1f} {high:.1f} {recall:g}" for low, high, recall in table.bins]
-    return "\n".join(lines) + "\n"
-
-
 def default_recall_table() -> RecallTable:
     """The packaged person-detector recall table (0.5 cm/px bins)."""
     ref = resources.files("uavsearch").joinpath("data/recall_default.txt")

@@ -259,12 +259,6 @@ def ground_under(grid: TerrainGrid, cells: GridSpec) -> np.ndarray:
     return ground
 
 
-def relative_height(grid: TerrainGrid, position) -> float:
-    """Height of a 3D position above the terrain directly below it."""
-    x, y, z = position
-    return float(z) - elevation_at(grid, float(x), float(y))
-
-
 def clear_rays(grid: TerrainGrid, origin, targets, step: float | None = None,
                ) -> np.ndarray:
     """Line-of-sight verdicts from one 3D origin to each row of an (m, 3)
@@ -310,19 +304,3 @@ def line_of_sight(grid: TerrainGrid, p_from, p_to, step: float | None = None) ->
     """
     return bool(clear_rays(grid, p_from, [p_to], step)[0])
 
-
-@dataclass(frozen=True)
-class HomePoint:
-    """Launch point used to anchor flights and convert heights.
-
-    ground_elevation is the interpolated terrain height at (x, y), so
-    absolute altitude = ground_elevation + height above ground.
-    """
-
-    x: float
-    y: float
-    ground_elevation: float
-
-    @classmethod
-    def from_terrain(cls, grid: TerrainGrid, x: float, y: float) -> "HomePoint":
-        return cls(x=x, y=y, ground_elevation=elevation_at(grid, x, y))

@@ -3,8 +3,7 @@ import pytest
 
 from uavsearch import (DomainError, GridSpec, Zone, bilinear_on_grid,
                        build_flight_domain, build_initial_density,
-                       point_in_polygon, points_in_polygon, polygon_area,
-                       zone_membership)
+                       points_in_polygon, polygon_area, zone_membership)
 from uavsearch.domain import gradient_on_grid
 
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
@@ -36,21 +35,21 @@ def test_zone_validation():
 
 
 def test_points_in_polygon_square():
-    assert point_in_polygon(SQUARE, (5.0, 5.0))
-    assert not point_in_polygon(SQUARE, (15.0, 5.0))
+    assert points_in_polygon(SQUARE, 5.0, 5.0) is True
+    assert points_in_polygon(SQUARE, 15.0, 5.0) is False
     # boundary, corners and edges included
     for p in [(0.0, 0.0), (10.0, 10.0), (10.0, 3.0), (4.0, 0.0)]:
-        assert point_in_polygon(SQUARE, p)
-    assert not point_in_polygon(SQUARE, (10.001, 5.0))
+        assert points_in_polygon(SQUARE, *p)
+    assert not points_in_polygon(SQUARE, 10.001, 5.0)
 
 
 def test_points_in_polygon_concave():
     inside = [(5.0, 5.0), (1000.0, 5.0), (300.0, 400.0), (649.0, 650.0)]
     outside = [(700.0, 20.0), (1000.0, 11.0), (651.0, 300.0), (-1.0, 5.0)]
     for p in inside:
-        assert point_in_polygon(L_SHAPE, p), p
+        assert points_in_polygon(L_SHAPE, *p), p
     for p in outside:
-        assert not point_in_polygon(L_SHAPE, p), p
+        assert not points_in_polygon(L_SHAPE, *p), p
 
 
 def test_points_in_polygon_matches_crossing_oracle():

@@ -7,7 +7,7 @@ from uavsearch import (CAMERA_PRESETS, CameraPose, DensityGrid, FieldState,
                        SolverError, TerrainGrid, accomplishment,
                        accumulate_coverage, default_recall_table,
                        bilinear_on_grid, ground_under, neumann_laplacian,
-                       solve_potential, steering_gradient)
+                       steering_gradient)
 
 
 def small_grid(ncols=7, nrows=5, cell=10.0):
@@ -118,9 +118,10 @@ def test_solver_zero_source_and_uniform_source():
 def test_one_shot_solve_updates_state():
     grid = small_grid()
     state = uniform_state(grid)
-    u = solve_potential(state, HedacParams())
-    assert u is state.potential
-    assert np.all(u > 0)
+    solver = PotentialSolver(grid, HedacParams())
+    solver.refresh(state)
+    np.testing.assert_array_equal(state.potential, solver.solve(state.undetected))
+    assert np.all(state.potential > 0)
 
 
 def flat_terrain():

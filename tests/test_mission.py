@@ -15,6 +15,8 @@ from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraPose, DensityGrid, Fie
 NCOLS = NROWS = 42
 CELL = 10.0
 X0 = Y0 = -70.0
+# an M210 whose 14 s horizon over 5 steps replans every 2.8 s
+WEIRD = replace(UAV_PRESETS["M210"], name="Weird", mpc_horizon_s=14.0)
 
 
 def tiny_terrain():
@@ -46,25 +48,19 @@ def tiny_config(flights, mission_id="tiny", **kwargs):
 
 
 def one_flight(duration=20, start=(10.0, 10.0), **kwargs):
-    base = dict(uav="M210", camera="X5S", min_altitude=35.0,
+    base = dict(uav=UAV_PRESETS["M210"], camera=CAMERA_PRESETS["X5S"], min_altitude=35.0,
                 goal_altitude=55.0, duration_s=duration, start=start)
     base.update(kwargs)
     return FlightConfig(**base)
 
 
 def test_prepare_environment_validation():
-    with pytest.raises(MissionError) as err:
-        prepare_environment(tiny_config([one_flight(uav="NoSuchUav")]))
-    assert "unknown vehicle" in str(err.value)
-    with pytest.raises(MissionError):
-        prepare_environment(tiny_config([one_flight(camera="NoSuchCam")]))
-    # domain larger than the terrain
+    # preset names, zone subsets and the first start fail at load
+    # (test_scenario_cli); a domain larger than the terrain needs the
+    # built domain
     with pytest.raises(MissionError) as err:
         prepare_environment(tiny_config([one_flight()], offset=500.0))
     assert "terrain does not cover" in str(err.value)
-    with pytest.raises(MissionError) as err:
-        prepare_environment(tiny_config([one_flight(zone_ids=("nope",))]))
-    assert "zone subset" in str(err.value)
 
 
 def terrain_with_nodata(x, y):
@@ -84,7 +80,7 @@ def test_nodata_outside_the_domain_changes_nothing():
     assert got.logs[0].rows == want.logs[0].rows
     np.testing.assert_array_equal(got.eta, want.eta)
     env = prepare_environment(clean)
-    camera = env.flights[0].camera
+    camera = env.flights[0].config.camera
     for t, x, y, z, heading, *_ in want.logs[0].rows[::4]:
         pose = CameraPose(x=x, y=y, z=z, yaw=heading)
         a = detection_rate_footprint(pose, camera, clean.terrain, env.recall,
@@ -107,17 +103,15 @@ def test_nodata_under_the_domain_fails_at_load():
 
 
 def test_custom_presets_resolved():
+    # names resolve at load (test_scenario_cli); each planner is built
+    # on the vehicle its flight carries
     slow = replace(UAV_PRESETS["M210"], name="Slow", v_h_max=4.0)
-    wide = replace(CAMERA_PRESETS["X5S"], name="Wide", x_image=1000)
-    config = tiny_config([one_flight(uav="Slow", camera="Wide"),
-                          one_flight(start=None, min_altitude=40.0)],
-                         uavs={"Slow": slow}, cameras={"Wide": wide})
+    config = tiny_config([one_flight(uav=slow),
+                          one_flight(start=None, min_altitude=40.0)])
     env = prepare_environment(config)
     first, second = env.flights
-    assert first.planner.limits is slow and first.camera is wide
-    # presets remain available
+    assert first.planner.limits is slow
     assert second.planner.limits is UAV_PRESETS["M210"]
-    assert second.camera is CAMERA_PRESETS["X5S"]
     assert first.planner.min_clearance == 35.0
     assert second.planner.min_clearance == 40.0
     assert second.planner.goal_clearance == 55.0
@@ -136,17 +130,12 @@ def test_initial_state_and_start_checks():
     assert state.v_h == 0.0 and state.v_z == 0.0 and state.t == 0.0
     assert env.flights[1].start is None  # continues from flight 0
     with pytest.raises(MissionError) as err:
-        prepare_environment(tiny_config([one_flight(start=None)]))
-    assert "flight 0 has start=None but there is no previous flight state" in str(err.value)
-    with pytest.raises(MissionError) as err:
         prepare_environment(tiny_config([one_flight(start=(9e9, 0.0))]))
     assert "flight 0: start (9e+09, 0) outside the flight domain" in str(err.value)
 
 
 def test_replan_period_must_align_with_sensing():
-    weird = replace(UAV_PRESETS["M210"], name="Weird", mpc_horizon_s=14.0)
-    config = tiny_config([one_flight(duration=2, uav="Weird")],
-                         uavs={"Weird": weird})
+    config = tiny_config([one_flight(duration=2, uav=WEIRD)])
     with pytest.raises(MissionError) as err:
         run_mission(config)
     assert "flight 0 (Weird): replan period 2.8 s must be a whole multiple of 1 s" \
@@ -155,14 +144,12 @@ def test_replan_period_must_align_with_sensing():
 
 @pytest.mark.parametrize("last, fragment", [
     (dict(start=(9e3, 10.0)), "flight 2: start (9000, 10) outside the flight domain"),
-    (dict(camera="NoSuchCam"), "flight 2: unknown camera preset 'NoSuchCam'"),
-    (dict(uav="Weird", start=None),
+    (dict(uav=WEIRD, start=None),
      "flight 2 (Weird): replan period 2.8 s must be a whole multiple of 1 s"),
-], ids=["start-outside", "unknown-camera", "horizon-14s"])
+], ids=["start-outside", "horizon-14s"])
 def test_bad_last_flight_fails_before_the_first_step(last, fragment):
-    weird = replace(UAV_PRESETS["M210"], name="Weird", mpc_horizon_s=14.0)
     config = tiny_config([one_flight(duration=5), one_flight(duration=5, start=None),
-                          one_flight(duration=5, **last)], uavs={"Weird": weird})
+                          one_flight(duration=5, **last)])
     with pytest.raises(MissionError) as err:
         prepare_environment(config)
     assert fragment in str(err.value)
@@ -177,8 +164,7 @@ def test_lattice_error_names_the_flight():
     # level flight only, but every allowed climb rate is positive
     stuck = replace(UAV_PRESETS["M210"], name="Stuck", incline_min_deg=0.0,
                     incline_max_deg=0.0, v_z_min=1.0)
-    config = tiny_config([one_flight(), one_flight(uav="Stuck", start=None)],
-                         uavs={"Stuck": stuck})
+    config = tiny_config([one_flight(), one_flight(uav=stuck, start=None)])
     with pytest.raises(MpcInfeasibleError) as err:
         prepare_environment(config)
     assert str(err.value).startswith("flight 1 (Stuck): control lattice has no point")

@@ -1,11 +1,12 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uavsearch import (ScenarioError, apply_override, load_scenario,
-                       recall_lookup, save_terrain)
+from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraModel, ScenarioError,
+                       apply_override, load_scenario, recall_lookup, save_terrain)
 from uavsearch.cli import main
 
 from test_mission import tiny_terrain
@@ -46,11 +47,12 @@ def test_load_scenario_round_trip(scenario_file):
     assert config.hedac.diffusion == 2000.0
     assert config.zones[0].zone_id == "square"
     assert config.zones[0].person_count == 12
-    assert config.flights[0].uav == "M210"
+    assert config.flights[0].uav is UAV_PRESETS["M210"]
+    assert config.flights[0].camera is CAMERA_PRESETS["X5S"]
     assert config.flights[0].start == (10.0, 10.0)
     assert config.monte_carlo.targets == 300
     assert config.terrain.ncols == tiny_terrain().ncols
-    assert config.uavs is None and config.cameras is None and config.recall is None
+    assert config.uavs is None and config.recall is None
 
 
 def test_terrain_path_relative_to_scenario(scenario_file, tmp_path, monkeypatch):
@@ -85,13 +87,15 @@ def test_terrain_path_relative_to_scenario(scenario_file, tmp_path, monkeypatch)
     (lambda d: d["flights"][0].update(min_altitude=30), "flights.0: altitudes must satisfy"),
     (lambda d: d.update(mpc={"min_clearance": 40.0}), "unknown key(s): mpc.min_clearance"),
     (lambda d: d.update(uavs={"M210": {"name": "Other"}}), "unknown key(s): uavs.M210.name"),
+    (lambda d: d["flights"].append(dict(d["flights"][0], camera="NoSuchCam", start=None)),
+     "flights.1.camera: unknown camera preset 'NoSuchCam'"),
 ], ids=["root-key", "hedac-key", "zone-key", "flight-key", "missing-id",
         "no-zones", "no-flights", "string-number", "float-duration",
         "bool-number", "zero-duration", "two-vertices", "dup-zones",
         "neg-offset", "neg-seed", "null-seed", "retired-solver-tolerance",
         "retired-max-iterations", "retired-clearance-margin", "neg-mc-seed",
         "zero-targets", "low-min-altitude", "flight-owned-min-clearance",
-        "preset-name-key"])
+        "preset-name-key", "last-flight-camera"])
 def test_scenario_rejects_bad_documents(scenario_file, mutate, fragment):
     path = scenario_file(mutate)
     with pytest.raises(ScenarioError) as err:
@@ -171,8 +175,25 @@ def test_uav_and_camera_sections(scenario_file):
     assert config.uavs["M210"].v_h_max == 8.0
     assert config.uavs["M210"].v_z_max == 5.0  # untouched preset field
     assert config.uavs["Kite"].mpc_steps == 5
-    assert config.cameras["X5S"].x_image == 1000
-    assert config.cameras["X5S"].fov_short_deg > 0
+    assert config.flights[0].camera.x_image == 1000
+    assert config.flights[0].camera.fov_short_deg > 0
+
+
+def test_flights_carry_their_presets(scenario_file):
+    # a partially overridden vehicle and a new camera become the flight's
+    # objects; a flight naming untouched presets holds the built-in ones
+    def mutate(d):
+        d["uavs"] = {"M210": {"v_h_max": 4.0}}
+        d["cameras"] = {"Wide": {"fov_short_deg": 50.0, "fov_long_deg": 70.0,
+                                 "x_image": 1000, "y_image": 800}}
+        d["flights"][0]["camera"] = "Wide"
+        d["flights"].append(dict(d["flights"][0], uav="Mavic2ED", camera="Z30", start=None))
+    first, second = load_scenario(scenario_file(mutate)).flights
+    assert first.uav == replace(UAV_PRESETS["M210"], v_h_max=4.0)
+    assert first.camera == CameraModel("Wide", fov_short_deg=50.0, fov_long_deg=70.0,
+                                       x_image=1000, y_image=800)
+    assert second.uav is UAV_PRESETS["Mavic2ED"]
+    assert second.camera is CAMERA_PRESETS["Z30"]
 
 
 @pytest.mark.parametrize("section, name, fields, noun", [
@@ -265,6 +286,21 @@ def test_cli_bad_override_is_input_error(scenario_file, capsys):
     code = main(["simulate", str(scenario_file()), "--set", "flights.9.uav=M210"])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("flights.0.uav=NoSuch", "flights.0.uav: unknown vehicle preset 'NoSuch'"),
+    ("flights.0.camera=NoCam", "flights.0.camera: unknown camera preset 'NoCam'"),
+    ('flights.0.zones=["nope"]', "flights.0.zones: ['nope'] not in the mission zones"),
+    ("flights.0.start=null",
+     "flights.0.start: the first flight has no previous flight to continue from"),
+], ids=["uav", "camera", "zones", "start"])
+def test_cli_bad_flight_input_exits_two(scenario_file, tmp_path, capsys, assignment, message):
+    # names, zone subsets and the first start are load checks: input errors
+    out = tmp_path / "run"
+    assert main(["simulate", str(scenario_file()), "--out", str(out), "--set", assignment]) == 2
+    assert capsys.readouterr().err == f"uavsearch: error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_validate_flag_checks(scenario_file, capsys):

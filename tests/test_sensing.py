@@ -6,9 +6,8 @@ import pytest
 from uavsearch import (CAMERA_PRESETS, CameraModel, CameraPose, GridSpec,
                        RecallTable, SensingParams, TerrainGrid,
                        default_recall_table, detection_rate,
-                       detection_rate_footprint, format_recall_table, gsd,
-                       ground_under, in_fov, load_recall_table, recall_lookup,
-                       to_camera_frame)
+                       detection_rate_footprint, gsd, ground_under, in_fov,
+                       load_recall_table, recall_lookup, to_camera_frame)
 from uavsearch.sensing import SensingError
 
 PACKAGED_RECALLS = [0.95, 0.977, 0.956, 0.953, 0.897, 0.881,
@@ -86,12 +85,12 @@ def test_recall_lookup_bins_and_clamping():
 
 def test_recall_table_round_trip(tmp_path):
     table = default_recall_table()
-    text = format_recall_table(table)
+    text = "".join(f"{low!r} {high!r} {recall!r}\n" for low, high, recall in table.bins)
     path = tmp_path / "recall.txt"
     path.write_text("# comment line\n\n" + text)
     back = load_recall_table(path)
     assert back.bins == table.bins
-    assert format_recall_table(back) == text
+    assert back.bin_width == table.bin_width
 
 
 def test_recall_table_errors(tmp_path):

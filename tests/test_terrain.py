@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from uavsearch import (GridSpec, HomePoint, TerrainError, TerrainGrid, bilinear_on_grid,
-                       clear_rays, elevation_at, ground_at, ground_under, line_of_sight,
-                       load_terrain, relative_height, save_terrain)
+from uavsearch import (GridSpec, TerrainError, TerrainGrid, bilinear_on_grid, clear_rays,
+                       elevation_at, ground_at, ground_under, line_of_sight, load_terrain,
+                       save_terrain)
 
 
 def flat_grid(value=100.0, ncols=12, nrows=10, cell=10.0, x0=0.0, y0=0.0):
@@ -244,12 +244,6 @@ def test_terrain_grid_is_frozen():
     assert elevation_at(grid, 65.0, 45.0) == 100.0
 
 
-def test_relative_height():
-    grid = linear_grid()
-    h = relative_height(grid, (20.0, 30.0, 100.0))
-    assert h == pytest.approx(100.0 - (50.0 + 0.3 * 20.0 - 0.2 * 30.0))
-
-
 def test_line_of_sight_flat_always_clear():
     grid = flat_grid(100.0)
     assert line_of_sight(grid, (10.0, 10.0, 150.0), (110.0, 80.0, 140.0))
@@ -333,9 +327,3 @@ def test_clear_rays_edge_cases():
     with pytest.raises(TerrainError) as err:
         clear_rays(grid, origin, [(90.0, 60.0, 100.0), (200.0, 20.0, 100.0)])
     assert "outside terrain extent" in str(err.value)
-
-
-def test_home_point():
-    grid = linear_grid()
-    home = HomePoint.from_terrain(grid, 30.0, 25.0)
-    assert home.ground_elevation == pytest.approx(50.0 + 0.3 * 30.0 - 0.2 * 25.0)
