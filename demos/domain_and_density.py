@@ -17,8 +17,7 @@ zones = (
                      [1650.0, 1000.0], [1240.0, 850.0]], 27),
 )
 
-domain = build_flight_domain(zones, offset=75.0, cell_size=20.0)
-grid = domain.grid
+grid = build_flight_domain(zones, offset=75.0, cell_size=20.0)
 print(f"flight domain: {grid.ncols} x {grid.nrows} cells of {grid.cell_size:g} m,")
 print(f"  origin ({grid.x_origin:g}, {grid.y_origin:g}), "
       f"area {grid.width * grid.height / 1e6:.2f} km^2")

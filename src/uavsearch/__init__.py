@@ -13,7 +13,7 @@ from .control import (UAV_PRESETS, ControlInput, MpcConfig, Planner, UavLimits,
                       UavState, evaluate_plan, kinematic_step, mpc_plan,
                       ramp_displacement, ramp_toward, turn_rate_toward,
                       validate_control, wrap_angle)
-from .domain import (DensityGrid, DomainError, GridSpec, SearchDomain, Zone,
+from .domain import (DensityGrid, DomainError, GridSpec, Zone,
                      bilinear_on_grid, build_flight_domain, build_initial_density,
                      points_in_polygon, polygon_area, zone_membership)
 from .errors import (ControlLimitError, MissionError, MpcInfeasibleError,
@@ -45,7 +45,7 @@ __all__ = [
     "UavState", "evaluate_plan", "kinematic_step", "mpc_plan",
     "ramp_displacement", "ramp_toward",
     "turn_rate_toward", "validate_control", "wrap_angle",
-    "DensityGrid", "DomainError", "GridSpec", "SearchDomain", "Zone", "bilinear_on_grid",
+    "DensityGrid", "DomainError", "GridSpec", "Zone", "bilinear_on_grid",
     "build_flight_domain", "build_initial_density",
     "points_in_polygon", "polygon_area", "zone_membership",
     "ControlLimitError", "MissionError", "MpcInfeasibleError", "ScenarioError",

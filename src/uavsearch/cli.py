@@ -11,7 +11,7 @@ Four subcommands:
 Exit codes: 0 success; 2 for usage and input problems: any scenario
 key or value that fails at load (validate's --targets and --seed are
 monte_carlo overrides), including each flight's vehicle and camera
-preset names, its zone subset and the first flight's start, unreadable
+preset names and the first flight's start, unreadable
 files, invalid tiling geometry; 1 for failures during a run, including
 the mission checks that need the built flight domain (a start outside
 it, terrain cover, the replan period).

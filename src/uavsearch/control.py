@@ -153,26 +153,33 @@ class ControlInput:
         return self.speed * math.sin(self.incline)
 
 
-def validate_control(control: ControlInput, limits: UavLimits) -> None:
-    """Raise ControlLimitError naming the violated bound, if any."""
+def validate_control(control: ControlInput, limits: UavLimits) -> tuple[float, float]:
+    """Raise ControlLimitError naming the first violated bound, if any;
+    otherwise return the control's (v_h, v_z)."""
     if control.speed < -_EPS:
         raise ControlLimitError("speed must be >= 0")
-    checks = [
-        ("incline_min", control.incline >= limits.incline_min - _EPS),
-        ("incline_max", control.incline <= limits.incline_max + _EPS),
-        ("v_h_min", control.v_h >= limits.v_h_min - _EPS),
-        ("v_h_max", control.v_h <= limits.v_h_max + _EPS),
-        ("v_z_min", control.v_z >= limits.v_z_min - _EPS),
-        ("v_z_max", control.v_z <= limits.v_z_max + _EPS),
-        ("yaw_rate_max", abs(control.turn_rate) <= limits.yaw_rate_max + _EPS),
-    ]
-    for bound, ok in checks:
-        if not ok:
-            raise ControlLimitError(
-                f"{limits.name}: control violates {bound} "
-                f"(speed={control.speed:g}, incline={math.degrees(control.incline):g} deg, "
-                f"turn_rate={math.degrees(control.turn_rate):g} deg/s)"
-            )
+    v_h, v_z = control.v_h, control.v_z
+    if not control.incline >= limits.incline_min - _EPS:
+        bound = "incline_min"
+    elif not control.incline <= limits.incline_max + _EPS:
+        bound = "incline_max"
+    elif not v_h >= limits.v_h_min - _EPS:
+        bound = "v_h_min"
+    elif not v_h <= limits.v_h_max + _EPS:
+        bound = "v_h_max"
+    elif not v_z >= limits.v_z_min - _EPS:
+        bound = "v_z_min"
+    elif not v_z <= limits.v_z_max + _EPS:
+        bound = "v_z_max"
+    elif not abs(control.turn_rate) <= limits.yaw_rate_max + _EPS:
+        bound = "yaw_rate_max"
+    else:
+        return v_h, v_z
+    raise ControlLimitError(
+        f"{limits.name}: control violates {bound} "
+        f"(speed={control.speed:g}, incline={math.degrees(control.incline):g} deg, "
+        f"turn_rate={math.degrees(control.turn_rate):g} deg/s)"
+    )
 
 
 def turn_rate_toward(heading: float, desired_dir, yaw_rate_max: float,
@@ -198,10 +205,8 @@ def kinematic_step(state: UavState, control: ControlInput, limits: UavLimits,
     The heading advances by turn_rate * dt first and the position then
     moves along the post-update heading.
     """
-    validate_control(control, limits)
+    v_h, v_z = validate_control(control, limits)
     heading = wrap_angle(state.heading + control.turn_rate * dt)
-    v_h = control.v_h
-    v_z = control.v_z
     return UavState(
         x=state.x + v_h * math.cos(heading) * dt,
         y=state.y + v_h * math.sin(heading) * dt,

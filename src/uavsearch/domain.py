@@ -3,10 +3,10 @@
 A mission defines one or more polygonal search zones, each with the
 number of people it is assigned. The flight domain is the axis-aligned
 bounding rectangle of all zones grown by a safety offset, discretized
-into a regular cell grid. The initial density spreads each zone's share
-of the total probability mass uniformly over the cells whose centers
-fall inside that zone, using the discretized zone area so the density
-integrates to exactly one over the grid.
+into a regular cell grid, a GridSpec. The initial density spreads each
+zone's share of the total probability mass uniformly over the cells
+whose centers fall inside that zone, using the discretized zone area so
+the density integrates to exactly one over the grid.
 """
 
 from __future__ import annotations
@@ -78,6 +78,12 @@ class GridSpec:
             self.y_origin,
             self.y_origin + self.height,
         )
+
+    @property
+    def center(self) -> tuple[float, float]:
+        """Center (x, y) of the grid rectangle."""
+        xmin, xmax, ymin, ymax = self.rect
+        return (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
 
     def contains(self, x, y) -> np.ndarray:
         xmin, xmax, ymin, ymax = self.rect
@@ -195,29 +201,13 @@ def points_in_polygon(polygon: np.ndarray, x, y, eps: float = 1e-9) -> np.ndarra
     return result.reshape(shape) if shape else bool(result[0])
 
 
-@dataclass(frozen=True)
-class SearchDomain:
-    """The rectangle the UAV may fly over, with its discretization grid."""
-
-    zones: tuple[Zone, ...]
-    offset: float
-    boundary: np.ndarray  # 4x2 rectangle corners, counter-clockwise
-    grid: GridSpec
-
-    @property
-    def center(self) -> tuple[float, float]:
-        xmin, xmax, ymin, ymax = self.grid.rect
-        return (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
-
-
-def build_flight_domain(zones, offset: float, cell_size: float = 10.0) -> SearchDomain:
-    """Axis-aligned bounding rectangle of all zones grown by offset.
+def build_flight_domain(zones, offset: float, cell_size: float = 10.0) -> GridSpec:
+    """Grid of the axis-aligned bounding rectangle of all zones grown by offset.
 
     The grid origin is the rectangle's lower-left corner; column and
     row counts are rounded up so the grid covers the rectangle, and the
-    domain boundary is taken as the (possibly slightly larger) grid
-    rectangle itself. Every zone keeps at least `offset` clearance to
-    the boundary.
+    domain is the (possibly slightly larger) grid rectangle itself.
+    Every zone keeps at least `offset` clearance to its boundary.
     """
     zones = tuple(zones)
     if not zones:
@@ -229,11 +219,8 @@ def build_flight_domain(zones, offset: float, cell_size: float = 10.0) -> Search
     xmax, ymax = allv.max(axis=0) + offset
     ncols = max(1, math.ceil((xmax - xmin) / cell_size - 1e-9))
     nrows = max(1, math.ceil((ymax - ymin) / cell_size - 1e-9))
-    grid = GridSpec(x_origin=xmin, y_origin=ymin, cell_size=cell_size,
+    return GridSpec(x_origin=xmin, y_origin=ymin, cell_size=cell_size,
                     ncols=ncols, nrows=nrows)
-    gx0, gx1, gy0, gy1 = grid.rect
-    boundary = np.array([[gx0, gy0], [gx1, gy0], [gx1, gy1], [gx0, gy1]])
-    return SearchDomain(zones=zones, offset=offset, boundary=boundary, grid=grid)
 
 
 @dataclass

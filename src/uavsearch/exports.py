@@ -81,6 +81,7 @@ def _flight_summary(log: FlightLog) -> dict:
 
 
 def mission_summary(report: MissionReport) -> dict:
+    grid = report.field.grid
     return {
         "mission_id": report.mission_id,
         "final_accomplishment": report.final_eta,
@@ -89,17 +90,18 @@ def mission_summary(report: MissionReport) -> dict:
         "violations": report.violations,
         "clamp_events": report.clamp_events,
         "domain": {
-            "x_origin": report.domain.grid.x_origin,
-            "y_origin": report.domain.grid.y_origin,
-            "cell_size": report.domain.grid.cell_size,
-            "ncols": report.domain.grid.ncols,
-            "nrows": report.domain.grid.nrows,
+            "x_origin": grid.x_origin,
+            "y_origin": grid.y_origin,
+            "cell_size": grid.cell_size,
+            "ncols": grid.ncols,
+            "nrows": grid.nrows,
         },
     }
 
 
 def _export_mission(report: MissionReport, out: Path, summary: dict) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
+    grid = report.field.grid
     written = []
 
     def record(path: Path) -> Path:
@@ -111,10 +113,10 @@ def _export_mission(report: MissionReport, out: Path, summary: dict) -> list[Pat
                   log.rows)
     write_csv(record(out / "accomplishment.csv"), ["t", "accomplishment"],
               zip(report.times, report.eta))
-    write_grid_pgm(report.domain.grid, report.field.coverage,
+    write_grid_pgm(grid, report.field.coverage,
                    record(out / "coverage.pgm"))
     written.append(out / "coverage.json")
-    write_grid_pgm(report.domain.grid, report.field.undetected,
+    write_grid_pgm(grid, report.field.undetected,
                    record(out / "undetected.pgm"))
     written.append(out / "undetected.json")
     (record(out / "summary.json")).write_text(

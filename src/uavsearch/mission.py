@@ -39,7 +39,7 @@ import numpy as np
 from .control import (ControlInput, MpcConfig, Planner, UavLimits, UavState,
                       kinematic_step, mpc_plan, ramp_toward, turn_rate_toward,
                       wrap_angle)
-from .domain import DensityGrid, SearchDomain, Zone, build_flight_domain, build_initial_density
+from .domain import DensityGrid, GridSpec, Zone, build_flight_domain, build_initial_density
 from .errors import MissionError, MpcInfeasibleError
 from .hedac import FieldState, HedacParams, PotentialSolver, accomplishment, accumulate_coverage, steering_gradient
 from .sensing import CameraModel, CameraPose, RecallTable, SensingParams, default_recall_table
@@ -59,10 +59,7 @@ class FlightConfig:
     min_altitude and goal_altitude are heights above ground in meters,
     with 35 <= min_altitude <= goal_altitude; the planner keeps
     min_altitude as its hard floor. duration_s is at least 1. start is an
-    (x, y) launch point or None to continue from the previous flight's
-    end state. zone_ids optionally records which zones this flight was
-    tasked with; it must be a subset of the mission zones and is kept as
-    metadata (the density and domain are mission-level).
+    (x, y) launch point or None to continue from the previous flight.
     """
 
     uav: UavLimits
@@ -71,7 +68,6 @@ class FlightConfig:
     goal_altitude: float
     duration_s: int
     start: tuple[float, float] | None = None
-    zone_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.duration_s < 1:
@@ -114,18 +110,12 @@ class MissionConfig:
     cell_size: float = 10.0
     hedac: HedacParams = HedacParams()
     sensing: SensingParams = SensingParams()
-    recall: RecallTable | None = None
+    recall: RecallTable = dataclass_field(default_factory=default_recall_table)
     mpc: MpcConfig = MpcConfig()
     uavs: dict[str, UavLimits] | None = None
     monte_carlo: MonteCarloConfig = MonteCarloConfig()
 
     def __post_init__(self) -> None:
-        zone_ids = {z.zone_id for z in self.zones}
-        for idx, flight in enumerate(self.flights):
-            unknown = set(flight.zone_ids or ()) - zone_ids
-            if unknown:
-                raise MissionError(
-                    f"flights.{idx}.zones: {sorted(unknown)} not in the mission zones")
         if self.flights and self.flights[0].start is None:
             raise MissionError(
                 "flights.0.start: the first flight has no previous flight to continue from")
@@ -163,7 +153,6 @@ class MissionReport:
     times: np.ndarray            # 1 s grid over the whole mission
     eta: np.ndarray              # accomplishment at each time
     field: FieldState
-    domain: SearchDomain
     density: DensityGrid
     clamp_events: int
     violations: dict[str, int]
@@ -216,25 +205,24 @@ class FlightSetup:
 
 @dataclass(frozen=True)
 class MissionEnv:
-    """A mission checked and resolved once, before its first step.
-    ground is the terrain elevation under every domain cell center."""
+    """A mission checked and resolved once, before its first step. grid
+    is the flight domain, ground the terrain under its cell centers."""
 
     config: MissionConfig
-    domain: SearchDomain
+    grid: GridSpec
     density: DensityGrid
-    recall: RecallTable
     solver: PotentialSolver
     flights: tuple[FlightSetup, ...]
     ground: np.ndarray
 
 
-def _spawn_state(flight: FlightConfig, terrain: TerrainGrid, domain: SearchDomain,
+def _spawn_state(flight: FlightConfig, terrain: TerrainGrid, grid: GridSpec,
                  index: int) -> UavState:
     """At rest at goal clearance above the start, heading to the domain center."""
     x, y = float(flight.start[0]), float(flight.start[1])
-    if not bool(domain.grid.contains(x, y)):
+    if not bool(grid.contains(x, y)):
         raise MissionError(f"flight {index}: start ({x:g}, {y:g}) outside the flight domain")
-    cx, cy = domain.center
+    cx, cy = grid.center
     heading = math.atan2(cy - y, cx - x) if (cx, cy) != (x, y) else 0.0
     return UavState(x=x, y=y, z=elevation_at(terrain, x, y) + flight.goal_altitude,
                     heading=wrap_angle(heading), v_h=0.0, v_z=0.0, t=0.0)
@@ -255,16 +243,16 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
     build each flight's pieces, so that a bad input in any flight fails
     before the first step. The checks that read only the config are
     MissionConfig's."""
-    domain = build_flight_domain(config.zones, config.offset, config.cell_size)
+    grid = build_flight_domain(config.zones, config.offset, config.cell_size)
     xmin, xmax, ymin, ymax = config.terrain.extent
-    gx0, gx1, gy0, gy1 = domain.grid.rect
+    gx0, gx1, gy0, gy1 = grid.rect
     if gx0 < xmin or gx1 > xmax or gy0 < ymin or gy1 > ymax:
         raise MissionError(
             "terrain does not cover the flight domain: domain rectangle "
             f"({gx0:g}, {gy0:g})..({gx1:g}, {gy1:g}) vs terrain extent "
             f"({xmin:g}, {ymin:g})..({xmax:g}, {ymax:g})"
         )
-    nodata = first_nodata_under(config.terrain, domain.grid.rect)
+    nodata = first_nodata_under(config.terrain, grid.rect)
     if nodata is not None:
         row, col = nodata
         raise MissionError(
@@ -272,12 +260,12 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
             f"{config.terrain.y_centers[row]:g}) is nodata under the flight domain "
             f"({gx0:g}, {gy0:g})..({gx1:g}, {gy1:g})")
     total_people = sum(z.person_count for z in config.zones)
-    density = build_initial_density(config.zones, domain.grid, total_people)
+    density = build_initial_density(config.zones, grid, total_people)
 
     setups = []
     for idx, flight in enumerate(config.flights):
         start = None if flight.start is None else _spawn_state(
-            flight, config.terrain, domain, idx)
+            flight, config.terrain, grid, idx)
         where = f"flight {idx} ({flight.uav.name})"
         replan = _replan_period(flight.uav, where)
         try:
@@ -285,11 +273,10 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
         except MpcInfeasibleError as exc:
             raise MpcInfeasibleError(f"{where}: {exc}") from exc
         setups.append(FlightSetup(config=flight, planner=planner, replan=replan, start=start))
-    recall = config.recall if config.recall is not None else default_recall_table()
-    return MissionEnv(config=config, domain=domain, density=density, recall=recall,
-                      solver=PotentialSolver(domain.grid, config.hedac),
+    return MissionEnv(config=config, grid=grid, density=density,
+                      solver=PotentialSolver(grid, config.hedac),
                       flights=tuple(setups),
-                      ground=ground_under(config.terrain, domain.grid))
+                      ground=ground_under(config.terrain, grid))
 
 
 def run_flight(field_state: FieldState, env: MissionEnv, index: int,
@@ -309,8 +296,8 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     limits = planner.limits
     terrain = env.config.terrain
 
-    grid_rect = env.domain.grid.rect
-    half_cell = 0.5 * env.domain.grid.cell_size
+    grid_rect = env.grid.rect
+    half_cell = 0.5 * env.grid.cell_size
     clamp_lo = (grid_rect[0] + half_cell, grid_rect[2] + half_cell)
     clamp_hi = (grid_rect[1] - half_cell, grid_rect[3] - half_cell)
 
@@ -352,7 +339,7 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     for k in range(flight.duration_s):
         pose = CameraPose(x=state.x, y=state.y, z=state.z, yaw=state.heading)
         accumulate_coverage(field_state, pose, flight.camera, terrain,
-                            env.recall, env.config.sensing, SENSE_DT, env.ground)
+                            env.config.recall, env.config.sensing, SENSE_DT, env.ground)
         eta_now = accomplishment(field_state)
         etas.append(eta_now)
         if observer is not None:
@@ -404,8 +391,7 @@ def run_mission(config: MissionConfig, observer=None) -> MissionReport:
         base_time += flight.duration_s
     return MissionReport(mission_id=config.mission_id, logs=logs,
                          times=np.arange(len(eta), dtype=float), eta=np.array(eta),
-                         field=field_state, domain=env.domain,
-                         density=env.density, clamp_events=clamp_total,
+                         field=field_state, density=env.density, clamp_events=clamp_total,
                          violations=violations)
 
 

@@ -113,7 +113,7 @@ def _parse_flight(data, index: int, vehicles: dict, cameras: dict) -> FlightConf
     path = f"flights.{index}"
     _check_type(data, dict, path)
     _reject_unknown(data, ("uav", "camera", "min_altitude", "goal_altitude",
-                           "duration_s", "start", "zones"), path)
+                           "duration_s", "start"), path)
     start = data.get("start")
     if start is not None:
         _check_type(start, list, f"{path}.start")
@@ -121,11 +121,6 @@ def _parse_flight(data, index: int, vehicles: dict, cameras: dict) -> FlightConf
             raise ScenarioError(f"{path}.start: expected [x, y] or null")
         start = (_check_type(start[0], float, f"{path}.start.0"),
                  _check_type(start[1], float, f"{path}.start.1"))
-    zone_ids = data.get("zones")
-    if zone_ids is not None:
-        _check_type(zone_ids, list, f"{path}.zones")
-        zone_ids = tuple(_check_type(z, str, f"{path}.zones.{i}")
-                         for i, z in enumerate(zone_ids))
     values = dict(
         uav=_preset(data, "uav", vehicles, "vehicle", path),
         camera=_preset(data, "camera", cameras, "camera", path),
@@ -134,7 +129,7 @@ def _parse_flight(data, index: int, vehicles: dict, cameras: dict) -> FlightConf
         duration_s=_get(data, "duration_s", int, path),
     )
     try:
-        return FlightConfig(start=start, zone_ids=zone_ids, **values)
+        return FlightConfig(start=start, **values)
     except UavSearchError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -208,12 +203,12 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
     mpc = _build(MpcConfig, data.get("mpc", {}), "mpc")
     monte_carlo = _build(MonteCarloConfig, data.get("monte_carlo", {}), "monte_carlo")
 
-    recall = None
+    named = {}
     if "recall_table" in data:
         recall_path = Path(_check_type(data["recall_table"], str, "recall_table"))
         if not recall_path.is_absolute():
             recall_path = base_dir / recall_path
-        recall = load_recall_table(recall_path)
+        named["recall"] = load_recall_table(recall_path)
 
     cell_size = _get(data, "cell_size", float, "scenario", 10.0)
     offset = _get(data, "offset", float, "scenario", 75.0)
@@ -226,7 +221,7 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
         return MissionConfig(
             mission_id=mission_id, terrain=terrain, zones=zones, flights=flights,
             offset=offset, cell_size=cell_size, hedac=hedac, sensing=sensing,
-            recall=recall, mpc=mpc, uavs=uavs, monte_carlo=monte_carlo)
+            mpc=mpc, uavs=uavs, monte_carlo=monte_carlo, **named)
     except UavSearchError as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -101,14 +101,13 @@ class RecallTable:
 
     Bins are half-open [low, high) in cm/px, contiguous, ascending and
     uniformly bin_width wide. Recall values are kept exactly as
-    measured; they need not be monotone. edges (the bin edges) and
-    recalls are read-only arrays derived once at construction.
+    measured; they need not be monotone. edges, the bin edges, is a
+    read-only array derived once at construction.
     """
 
     bins: tuple[tuple[float, float, float], ...]
     bin_width: float = 0.5
     edges: np.ndarray = field(init=False, repr=False, compare=False)
-    recalls: np.ndarray = field(init=False, repr=False, compare=False)
     # recall per searchsorted(edges, gsd, side="right"): the lowest bin's
     # below the lowest edge, bin i's at i + 1, zero at or above the top edge
     _by_edge_index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -131,7 +130,6 @@ class RecallTable:
             prev_high = high
         recalls = [b[2] for b in self.bins]
         for name, values in (("edges", [self.bins[0][0]] + [b[1] for b in self.bins]),
-                             ("recalls", recalls),
                              ("_by_edge_index", recalls[:1] + recalls + [0.0])):
             array = np.array(values, dtype=float)
             array.flags.writeable = False

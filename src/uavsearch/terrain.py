@@ -94,17 +94,6 @@ class TerrainGrid:
         return (np.asarray(x) >= xmin) & (np.asarray(x) <= xmax) \
             & (np.asarray(y) >= ymin) & (np.asarray(y) <= ymax)
 
-    def describe(self) -> str:
-        """One line of size, corner, valid elevation range and nodata."""
-        valid = self.elevations[self.elevations != self.nodata]
-        span = (f"elevation {self.min_elevation:g}..{valid.max():g} m"
-                if valid.size else "no valid elevation")
-        return (
-            f"{self.ncols}x{self.nrows} cells at {self.cell_size:g} m, "
-            f"lower-left corner ({self.xllcorner:g}, {self.yllcorner:g}), "
-            f"{span}, nodata {self.nodata:g}"
-        )
-
 
 def load_terrain(path) -> TerrainGrid:
     """Parse an ASCII elevation grid file.
@@ -259,25 +248,21 @@ def ground_under(grid: TerrainGrid, cells: GridSpec) -> np.ndarray:
     return ground
 
 
-def clear_rays(grid: TerrainGrid, origin, targets, step: float | None = None,
-               ) -> np.ndarray:
+def clear_rays(grid: TerrainGrid, origin, targets) -> np.ndarray:
     """Line-of-sight verdicts from one 3D origin to each row of an (m, 3)
     target array, as a boolean array of length m.
 
-    Each ray gets its own n = ceil(length / step) and is sampled at
-    t = j / n for 0 < j < n, so its samples are spaced at most `step`
-    apart (default: half the grid cell size) and lie strictly between
-    the endpoints: a target lying on the ground does not occlude itself
-    and the origin is never tested, and a ray shorter than `step` is
-    always clear. A sample passes when its height is >= the interpolated
+    With step half the grid cell size, each ray gets its own
+    n = ceil(length / step) and is sampled at t = j / n for 0 < j < n,
+    so its samples are spaced at most step apart and lie strictly
+    between the endpoints: a target lying on the ground does not occlude
+    itself and the origin is never tested, and a ray shorter than step
+    is always clear. A sample passes when its height is >= the interpolated
     ground elevation, with elevation_at's arithmetic. The hull is
     checked on the endpoints only: it is convex, so every sample of a
     ray whose endpoints lie inside it lies inside too.
     """
-    if step is None:
-        step = 0.5 * grid.cell_size
-    if not step > 0:
-        raise TerrainError("line-of-sight step must be positive")
+    step = 0.5 * grid.cell_size
     p0 = np.asarray(origin, dtype=float)
     points = np.asarray(targets, dtype=float).reshape(-1, 3)
     ends = np.concatenate([points[:, :2], p0[None, :2]])
@@ -296,11 +281,11 @@ def clear_rays(grid: TerrainGrid, origin, targets, step: float | None = None,
     return clear
 
 
-def line_of_sight(grid: TerrainGrid, p_from, p_to, step: float | None = None) -> bool:
+def line_of_sight(grid: TerrainGrid, p_from, p_to) -> bool:
     """True when the straight segment from p_from to p_to clears the terrain.
 
     The one-ray case of clear_rays, with both points 3D. The verdict is
     symmetric in the two endpoints.
     """
-    return bool(clear_rays(grid, p_from, [p_to], step)[0])
+    return bool(clear_rays(grid, p_from, [p_to])[0])
 

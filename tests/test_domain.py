@@ -117,17 +117,17 @@ def test_grid_spec_window_matches_center_distances():
 
 def test_build_flight_domain_offset_and_rounding():
     zone = Zone("a", SQUARE, 5)
-    dom = build_flight_domain([zone], offset=75.0, cell_size=10.0)
-    xmin, xmax, ymin, ymax = dom.grid.rect
+    grid = build_flight_domain([zone], offset=75.0, cell_size=10.0)
+    xmin, xmax, ymin, ymax = grid.rect
     # bbox [-75, 85] both axes: span 160 = exactly 16 cells, no ghost cell
     assert (xmin, ymin) == (-75.0, -75.0)
     assert (xmax, ymax) == (85.0, 85.0)
-    assert dom.grid.shape == (16, 16)
-    assert dom.center == (5.0, 5.0)
+    assert grid.shape == (16, 16)
+    assert grid.center == (5.0, 5.0)
     # a non-multiple span rounds the cell count up
-    dom2 = build_flight_domain([zone], offset=73.0, cell_size=10.0)
-    assert dom2.grid.shape == (16, 16)
-    assert dom2.grid.rect[1] == pytest.approx(-73.0 + 160.0)
+    grid2 = build_flight_domain([zone], offset=73.0, cell_size=10.0)
+    assert grid2.shape == (16, 16)
+    assert grid2.rect[1] == pytest.approx(-73.0 + 160.0)
     with pytest.raises(DomainError):
         build_flight_domain([], offset=75.0)
     with pytest.raises(DomainError):

@@ -55,7 +55,7 @@ def one_flight(duration=20, start=(10.0, 10.0), **kwargs):
 
 
 def test_prepare_environment_validation():
-    # preset names, zone subsets and the first start fail at load
+    # preset names and the first start fail at load
     # (test_scenario_cli); a domain larger than the terrain needs the
     # built domain
     with pytest.raises(MissionError) as err:
@@ -83,12 +83,12 @@ def test_nodata_outside_the_domain_changes_nothing():
     camera = env.flights[0].config.camera
     for t, x, y, z, heading, *_ in want.logs[0].rows[::4]:
         pose = CameraPose(x=x, y=y, z=z, yaw=heading)
-        a = detection_rate_footprint(pose, camera, clean.terrain, env.recall,
-                                     clean.sensing, env.domain.grid,
-                                     ground_under(clean.terrain, env.domain.grid))
-        b = detection_rate_footprint(pose, camera, holed.terrain, env.recall,
-                                     clean.sensing, env.domain.grid,
-                                     ground_under(holed.terrain, env.domain.grid))
+        a = detection_rate_footprint(pose, camera, clean.terrain, clean.recall,
+                                     clean.sensing, env.grid,
+                                     ground_under(clean.terrain, env.grid))
+        b = detection_rate_footprint(pose, camera, holed.terrain, clean.recall,
+                                     clean.sensing, env.grid,
+                                     ground_under(holed.terrain, env.grid))
         assert (b[0], b[1]) == (a[0], a[1]), t
         np.testing.assert_array_equal(b[2], a[2])
 
@@ -125,7 +125,7 @@ def test_initial_state_and_start_checks():
     state = env.flights[0].start
     ground = elevation_at(config.terrain, 10.0, 10.0)
     assert state.z == pytest.approx(ground + 55.0)
-    cx, cy = env.domain.center
+    cx, cy = env.grid.center
     assert state.heading == pytest.approx(math.atan2(cy - 10.0, cx - 10.0))
     assert state.v_h == 0.0 and state.v_z == 0.0 and state.t == 0.0
     assert env.flights[1].start is None  # continues from flight 0
@@ -206,7 +206,7 @@ def test_connected_flights_carry_state():
 def test_ground_cached_once_per_mission():
     config = tiny_config([one_flight()])
     env = prepare_environment(config)
-    xs, ys = env.domain.grid.center_mesh()
+    xs, ys = env.grid.center_mesh()
     np.testing.assert_array_equal(env.ground, elevation_at(config.terrain, xs, ys))
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraModel, ScenarioError,
-                       apply_override, load_scenario, recall_lookup, save_terrain)
+                       apply_override, default_recall_table, load_scenario,
+                       recall_lookup, save_terrain)
 from uavsearch.cli import main
 
 from test_mission import tiny_terrain
@@ -52,7 +53,8 @@ def test_load_scenario_round_trip(scenario_file):
     assert config.flights[0].start == (10.0, 10.0)
     assert config.monte_carlo.targets == 300
     assert config.terrain.ncols == tiny_terrain().ncols
-    assert config.uavs is None and config.recall is None
+    assert config.uavs is None
+    assert config.recall == default_recall_table()
 
 
 def test_terrain_path_relative_to_scenario(scenario_file, tmp_path, monkeypatch):
@@ -291,12 +293,12 @@ def test_cli_bad_override_is_input_error(scenario_file, capsys):
 @pytest.mark.parametrize("assignment, message", [
     ("flights.0.uav=NoSuch", "flights.0.uav: unknown vehicle preset 'NoSuch'"),
     ("flights.0.camera=NoCam", "flights.0.camera: unknown camera preset 'NoCam'"),
-    ('flights.0.zones=["nope"]', "flights.0.zones: ['nope'] not in the mission zones"),
+    ('flights.0.zones=["square"]', "unknown key(s): flights.0.zones"),
     ("flights.0.start=null",
      "flights.0.start: the first flight has no previous flight to continue from"),
 ], ids=["uav", "camera", "zones", "start"])
 def test_cli_bad_flight_input_exits_two(scenario_file, tmp_path, capsys, assignment, message):
-    # names, zone subsets and the first start are load checks: input errors
+    # names, keys and the first start are load checks: input errors
     out = tmp_path / "run"
     assert main(["simulate", str(scenario_file()), "--out", str(out), "--set", assignment]) == 2
     assert capsys.readouterr().err == f"uavsearch: error: {message}\n"

@@ -7,7 +7,8 @@ from uavsearch import (CAMERA_PRESETS, CameraModel, CameraPose, GridSpec,
                        RecallTable, SensingParams, TerrainGrid,
                        default_recall_table, detection_rate,
                        detection_rate_footprint, gsd, ground_under, in_fov,
-                       load_recall_table, recall_lookup, to_camera_frame)
+                       line_of_sight, load_recall_table, recall_lookup,
+                       to_camera_frame)
 from uavsearch.sensing import SensingError
 
 PACKAGED_RECALLS = [0.95, 0.977, 0.956, 0.953, 0.897, 0.881,
@@ -202,35 +203,46 @@ def test_detection_rate_occlusion():
 
 
 def test_footprint_matches_scalar_rate():
-    rng = np.random.default_rng(21)
     ncols, nrows, cell = 50, 44, 10.0
     X, Y = np.meshgrid((np.arange(ncols) + 0.5) * cell,
                        (np.arange(nrows) + 0.5) * cell)
-    elev = 20.0 * np.sin(X / 90.0) * np.cos(Y / 70.0) + 0.02 * X
-    grid = TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=0.0, yllcorner=0.0,
-                       cell_size=cell, nodata=-9999.0, elevations=elev)
+    smooth = 20.0 * np.sin(X / 90.0) * np.cos(Y / 70.0) + 0.02 * X
+    # a ridge along x = 250 at slope 3, steeper than 1 / corner for every
+    # camera, so that it hides cells inside the frustum
+    ridge = 3.0 * np.maximum(0.0, 30.0 - np.abs(X - 250.0))
     cells = GridSpec(x_origin=0.0, y_origin=0.0, cell_size=cell,
                      ncols=ncols, nrows=nrows)
+    xs, ys = cells.center_mesh()
     table = default_recall_table()
     params = SensingParams()
-    ground = ground_under(grid, cells)
-    for cam in CAMERA_PRESETS.values():
-        for _ in range(6):
-            pose = CameraPose(x=rng.uniform(100, 400), y=rng.uniform(100, 340),
-                              z=rng.uniform(60, 140), yaw=rng.uniform(-np.pi, np.pi))
-            rows, cols, rates = detection_rate_footprint(
-                pose, cam, grid, table, params, cells, ground)
-            full = np.zeros(cells.shape)
-            full[rows, cols] = rates
-            xs, ys = cells.center_mesh()
-            for r in range(nrows):
-                for c in range(ncols):
-                    if not grid.contains(xs[r, c], ys[r, c]):
-                        continue
-                    want = detection_rate(pose, (xs[r, c], ys[r, c]),
-                                          cam, grid, table, params)
-                    assert full[r, c] == pytest.approx(want, rel=1e-12, abs=1e-15), \
-                        (cam.name, r, c)
+    occluded = 0
+    for elev, seed, heights in ((smooth, 21, (60, 140)), (ridge, 22, (120, 200))):
+        rng = np.random.default_rng(seed)
+        grid = TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=0.0, yllcorner=0.0,
+                           cell_size=cell, nodata=-9999.0, elevations=elev)
+        ground = ground_under(grid, cells)
+        for cam in CAMERA_PRESETS.values():
+            for _ in range(6):
+                pose = CameraPose(x=rng.uniform(100, 400), y=rng.uniform(100, 340),
+                                  z=rng.uniform(*heights), yaw=rng.uniform(-np.pi, np.pi))
+                rows, cols, rates = detection_rate_footprint(
+                    pose, cam, grid, table, params, cells, ground)
+                full = np.zeros(cells.shape)
+                full[rows, cols] = rates
+                for r in range(nrows):
+                    for c in range(ncols):
+                        if not grid.contains(xs[r, c], ys[r, c]):
+                            continue
+                        want = detection_rate(pose, (xs[r, c], ys[r, c]),
+                                              cam, grid, table, params)
+                        assert full[r, c] == pytest.approx(want, rel=1e-12, abs=1e-15), \
+                            (cam.name, r, c)
+                        point = (xs[r, c], ys[r, c], ground[r, c])
+                        if elev is ridge and in_fov(
+                                cam, to_camera_frame(pose, point[:2], grid)) \
+                                and not line_of_sight(grid, (pose.x, pose.y, pose.z), point):
+                            occluded += 1
+    assert occluded > 0  # the ridge case exercises the occlusion path
 
 
 def test_footprint_empty_when_underground():

@@ -39,19 +39,6 @@ def test_grid_validation():
                     nodata=-9999.0, elevations=bad)
 
 
-def test_describe_skips_nodata():
-    elev = np.arange(16.0).reshape(4, 4)
-    elev[2, 1] = -9999.0
-    grid = TerrainGrid(ncols=4, nrows=4, xllcorner=0, yllcorner=0,
-                       cell_size=10, nodata=-9999.0, elevations=elev)
-    assert grid.describe() == ("4x4 cells at 10 m, lower-left corner (0, 0), "
-                               "elevation 0..15 m, nodata -9999")
-    empty = TerrainGrid(ncols=2, nrows=2, xllcorner=0, yllcorner=0,
-                        cell_size=10, nodata=-9999.0,
-                        elevations=np.full((2, 2), -9999.0))
-    assert "no valid elevation" in empty.describe()
-
-
 def test_extent_is_cell_center_hull():
     grid = flat_grid(ncols=4, nrows=3, cell=10.0, x0=100.0, y0=200.0)
     xmin, xmax, ymin, ymax = grid.extent
@@ -211,6 +198,7 @@ def test_elevation_supported_by_nodata_raises():
     elev[4, 6] = -9999.0  # center (65, 45)
     grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
+    assert grid.has_nodata and grid.min_elevation == 100.0  # nodata is not ground
     assert elevation_at(grid, 50.0, 30.0) == 100.0
     for x, y in ((60.0, 40.0), (65.0, 45.0), (70.0, 50.0)):
         with pytest.raises(TerrainError) as err:
@@ -322,8 +310,6 @@ def test_clear_rays_edge_cases():
         clear_rays(grid, origin, [(90.0, 60.0, 100.0), (90.0, 60.0, 20.0)]), [True, False])
     empty = clear_rays(grid, origin, np.empty((0, 3)))
     assert empty.shape == (0,) and empty.dtype == bool
-    with pytest.raises(TerrainError):
-        clear_rays(grid, origin, [(90.0, 60.0, 100.0)], step=0.0)
     with pytest.raises(TerrainError) as err:
         clear_rays(grid, origin, [(90.0, 60.0, 100.0), (200.0, 20.0, 100.0)])
     assert "outside terrain extent" in str(err.value)
