@@ -6,12 +6,14 @@ Four subcommands:
 * validate  - run a mission while tracking synthetic targets
 * tile      - plan overlapping tiles for an image, optionally remapping
               ground-truth label files per tile
-* recall    - evaluate detection recall per ground-sampling-distance bin
+* recall    - evaluate detection recall per ground-sampling-distance bin,
+              written as the CSV that a scenario's recall_table names
 
 Exit codes: 0 success; 2 for usage and input problems: any scenario
 key or value that fails at load (validate's --targets and --seed are
 monte_carlo overrides), including each flight's vehicle and camera
-preset names and the first flight's start, unreadable
+preset names and the first flight's start, a bad terrain or
+recall-table file (named by its key and path), other unreadable
 files, invalid tiling geometry; 1 for failures during a run, including
 the mission checks that need the built flight domain (a start outside
 it, terrain cover, the replan period).
@@ -30,9 +32,10 @@ import time
 from pathlib import Path
 
 from .errors import UavSearchError
-from .exports import export_mission, export_validation, write_timing
+from .exports import csv_text, export_mission, export_validation, write_timing
 from .mission import monte_carlo_validate, run_mission
 from .scenario import load_scenario
+from .sensing import RECALL_COLUMNS
 from .tiling import (BoxLabel, Detection, ImageMeta, plan_tiles, recall_per_bin,
                      remap_labels, tile_name)
 
@@ -202,10 +205,7 @@ def _cmd_recall(args) -> int:
                               args.confidence, args.bin_width)
     except UavSearchError as exc:
         raise _fail_input(str(exc)) from exc
-    lines = ["gsd_low,gsd_high,total,detected,recall"]
-    for b in bins:
-        lines.append(f"{b.gsd_low:.1f},{b.gsd_high:.1f},{b.total},{b.detected},{b.recall:.6f}")
-    text = "\n".join(lines) + "\n"
+    text = csv_text(RECALL_COLUMNS, ([getattr(b, c) for c in RECALL_COLUMNS] for b in bins))
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {len(bins)} bins to {args.out}")

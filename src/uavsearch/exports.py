@@ -32,11 +32,16 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def csv_text(header, rows) -> str:
+    """A header line, then one line per row with floats in repr form."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    Path(path).write_text(csv_text(header, rows))
 
 
 def write_grid_pgm(grid: GridSpec, values: np.ndarray, path: Path,

@@ -370,9 +370,10 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     return state, log, etas, clamp_events
 
 
-def run_mission(config: MissionConfig, observer=None) -> MissionReport:
-    """Run all flights of a mission over one shared field state."""
-    env = prepare_environment(config)
+def run_mission(config: MissionConfig | MissionEnv, observer=None) -> MissionReport:
+    """Run all flights of a mission over one shared field state, from
+    its config or from the MissionEnv prepare_environment built for it."""
+    env = config if isinstance(config, MissionEnv) else prepare_environment(config)
     field_state = FieldState.from_density(env.density)
     logs: list[FlightLog] = []
     eta = [accomplishment(field_state)]
@@ -380,7 +381,7 @@ def run_mission(config: MissionConfig, observer=None) -> MissionReport:
     violations = {"floor": 0, "velocity": 0, "acceleration": 0}
     carried: UavState | None = None
     base_time = 0.0
-    for index, flight in enumerate(config.flights):
+    for index, setup in enumerate(env.flights):
         carried, log, etas, clamps = run_flight(
             field_state, env, index, carried, base_time, observer)
         logs.append(log)
@@ -388,8 +389,8 @@ def run_mission(config: MissionConfig, observer=None) -> MissionReport:
         clamp_total += clamps
         for key, count in log.violation_counts().items():
             violations[key] += count
-        base_time += flight.duration_s
-    return MissionReport(mission_id=config.mission_id, logs=logs,
+        base_time += setup.config.duration_s
+    return MissionReport(mission_id=env.config.mission_id, logs=logs,
                          times=np.arange(len(eta), dtype=float), eta=np.array(eta),
                          field=field_state, density=env.density, clamp_events=clamp_total,
                          violations=violations)
@@ -481,7 +482,7 @@ def monte_carlo_validate(config: MissionConfig, targets: int | None = None,
                           seed=monte_carlo.seed if seed is None else seed)
     env = prepare_environment(config)
     tracker = TargetTracker(env.density, monte_carlo)
-    report = run_mission(config, observer=tracker)
+    report = run_mission(env, observer=tracker)
     empirical = tracker.detected_fraction(report.times)
     band_low, band_high = binomial_band(report.eta, monte_carlo.targets)
     within = bool(np.all((empirical >= band_low - 1e-12)

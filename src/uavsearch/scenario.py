@@ -167,6 +167,16 @@ def _parse_presets(data, path: str, presets: dict, cls, noun: str) -> dict:
             for name, given in data.items()}
 
 
+def _load_file(load, key: str, name: str, base_dir: Path):
+    """load() a file named relative to the scenario; failures name key and file."""
+    path = base_dir / name
+    try:
+        return load(path)
+    except (UavSearchError, OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else str(exc).removeprefix(f"{path}: ")
+        raise ScenarioError(f"{key}: {path}: {reason}") from exc
+
+
 def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
     """Validate a scenario document and build the mission configuration."""
     base_dir = Path(base_dir)
@@ -175,10 +185,8 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
                            "hedac", "sensing", "recall_table", "mpc", "zones",
                            "uavs", "cameras", "flights", "monte_carlo"), "scenario")
     mission_id = _get(data, "mission_id", str, "scenario")
-    terrain_path = Path(_get(data, "terrain", str, "scenario"))
-    if not terrain_path.is_absolute():
-        terrain_path = base_dir / terrain_path
-    terrain = load_terrain(terrain_path)
+    terrain = _load_file(load_terrain, "terrain", _get(data, "terrain", str, "scenario"),
+                         base_dir)
 
     zones_data = _get(data, "zones", list, "scenario")
     if not zones_data:
@@ -205,10 +213,9 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
 
     named = {}
     if "recall_table" in data:
-        recall_path = Path(_check_type(data["recall_table"], str, "recall_table"))
-        if not recall_path.is_absolute():
-            recall_path = base_dir / recall_path
-        named["recall"] = load_recall_table(recall_path)
+        named["recall"] = _load_file(load_recall_table, "recall_table",
+                                     _check_type(data["recall_table"], str, "recall_table"),
+                                     base_dir)
 
     cell_size = _get(data, "cell_size", float, "scenario", 10.0)
     offset = _get(data, "offset", float, "scenario", 75.0)

@@ -95,18 +95,33 @@ def gsd(camera: CameraModel, height: float) -> tuple[float, float]:
     return horizontal, vertical
 
 
+RECALL_COLUMNS = ("gsd_low", "gsd_high", "total", "detected", "recall")
+
+
+def _check_bin(low: float, high: float, recall: float, prev_high: float | None,
+               where: str = "") -> None:
+    """Check one bin and that it starts where the previous one, if any, ended."""
+    if not (math.isfinite(low) and math.isfinite(high) and high > low):
+        raise SensingError(f"{where}recall bin [{low}, {high}) must be finite and non-empty")
+    if prev_high is not None and abs(low - prev_high) > 1e-9:
+        raise SensingError(f"{where}no recall bin covers [{prev_high}, {low})"
+                           if low > prev_high else
+                           f"{where}recall bin [{low}, {high}) overlaps the one before")
+    if not 0.0 <= recall <= 1.0:
+        raise SensingError(f"{where}recall {recall} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class RecallTable:
     """Detector recall per ground-sampling-distance bin.
 
-    Bins are half-open [low, high) in cm/px, contiguous, ascending and
-    uniformly bin_width wide. Recall values are kept exactly as
-    measured; they need not be monotone. edges, the bin edges, is a
-    read-only array derived once at construction.
+    Bins are half-open [low, high) in cm/px, finite, contiguous and
+    ascending. Recall values are kept exactly as measured; they need
+    not be monotone. edges, the bin edges, is a read-only array derived
+    once at construction.
     """
 
     bins: tuple[tuple[float, float, float], ...]
-    bin_width: float = 0.5
     edges: np.ndarray = field(init=False, repr=False, compare=False)
     # recall per searchsorted(edges, gsd, side="right"): the lowest bin's
     # below the lowest edge, bin i's at i + 1, zero at or above the top edge
@@ -115,19 +130,8 @@ class RecallTable:
     def __post_init__(self) -> None:
         if not self.bins:
             raise SensingError("recall table needs at least one bin")
-        prev_high = None
-        for low, high, recall in self.bins:
-            if not high > low:
-                raise SensingError(f"recall bin [{low:g}, {high:g}) is empty")
-            if abs((high - low) - self.bin_width) > 1e-9:
-                raise SensingError(
-                    f"recall bin [{low:g}, {high:g}) is not {self.bin_width:g} wide"
-                )
-            if prev_high is not None and abs(low - prev_high) > 1e-9:
-                raise SensingError(f"recall bins not contiguous at {low:g}")
-            if not 0.0 <= recall <= 1.0:
-                raise SensingError(f"recall {recall:g} outside [0, 1]")
-            prev_high = high
+        for i, (low, high, recall) in enumerate(self.bins):
+            _check_bin(low, high, recall, self.bins[i - 1][1] if i else None)
         recalls = [b[2] for b in self.bins]
         for name, values in (("edges", [self.bins[0][0]] + [b[1] for b in self.bins]),
                              ("_by_edge_index", recalls[:1] + recalls + [0.0])):
@@ -149,33 +153,38 @@ def recall_lookup(table: RecallTable, gsd_value):
 
 
 def load_recall_table(path) -> RecallTable:
-    """Read a recall table from text: one 'gsd_low gsd_high recall' per line.
-
-    Blank lines and lines starting with '#' are ignored.
-    """
-    bins: list[tuple[float, float, float]] = []
+    """Read the CSV that `uavsearch recall` writes: the header RECALL_COLUMNS,
+    then one bin per line, whose total and detected are both empty (not
+    measured) or the counts its recall was measured from. Errors name the
+    file and the line."""
+    header = ",".join(RECALL_COLUMNS)
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise SensingError(f"{path}: line {lineno}: expected 3 columns")
-            try:
-                low, high, recall = (float(p) for p in parts)
-            except ValueError:
-                raise SensingError(f"{path}: line {lineno}: cannot parse numbers") from None
-            bins.append((low, high, recall))
-    if not bins:
-        raise SensingError(f"{path}: no recall bins found")
-    width = bins[0][1] - bins[0][0]
-    return RecallTable(bins=tuple(bins), bin_width=width)
+        lines = fh.read().splitlines()
+    if len(lines) < 2 or lines[0].strip() != header:
+        raise SensingError(f"{path}: line 1: expected the header {header}, then one bin per line")
+    bins: list[tuple[float, float, float]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}: line {lineno}: "
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != len(RECALL_COLUMNS):
+            raise SensingError(f"{where}expected {len(RECALL_COLUMNS)} columns, got {len(parts)}")
+        try:
+            low, high, recall = (float(parts[i]) for i in (0, 1, 4))
+            total, detected = (None, None) if parts[2:4] == ["", ""] else map(int, parts[2:4])
+        except ValueError:
+            raise SensingError(f"{where}cannot parse {line!r}") from None
+        if total is not None and not (total >= 1 and 0 <= detected <= total
+                                      and recall == detected / total):
+            raise SensingError(f"{where}recall {recall} is not detected / total with "
+                               f"0 <= detected {detected} <= total {total}, total >= 1")
+        _check_bin(low, high, recall, bins[-1][1] if bins else None, where)
+        bins.append((low, high, recall))
+    return RecallTable(bins=tuple(bins))
 
 
 def default_recall_table() -> RecallTable:
     """The packaged person-detector recall table (0.5 cm/px bins)."""
-    ref = resources.files("uavsearch").joinpath("data/recall_default.txt")
+    ref = resources.files("uavsearch").joinpath("data/recall_default.csv")
     with resources.as_file(ref) as path:
         return load_recall_table(path)
 

@@ -28,7 +28,7 @@ from uavsearch.tiling import BoxLabel, Detection, ImageMeta
 NO_FLY_FLOOR = 35.0
 
 # recall per 0.5 cm/px ground-sampling-distance bin, [0.5, 6.5), as
-# packaged in data/recall_default.txt
+# packaged in data/recall_default.csv
 EXPECTED_RECALLS = (0.95, 0.977, 0.956, 0.953, 0.897, 0.881,
                     0.781, 0.796, 0.719, 0.699, 0.621, 0.142)
 

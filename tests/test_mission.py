@@ -329,6 +329,22 @@ def test_monte_carlo_seed_priority():
     assert MonteCarloConfig().seed == 0
 
 
+def test_monte_carlo_validate_prepares_once(monkeypatch):
+    # the environment built for the tracker is the one the mission flies
+    import uavsearch.mission as mission
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return prepare_environment(config)
+
+    monkeypatch.setattr(mission, "prepare_environment", counted)
+    config = tiny_config([one_flight(duration=3)])
+    report = monte_carlo_validate(config, targets=20)
+    assert calls == [config]
+    np.testing.assert_array_equal(report.predicted, run_mission(config).eta)
+
+
 def test_tracker_input_validation():
     # the target count and seed are checked when their config is built
     with pytest.raises(MissionError) as err:

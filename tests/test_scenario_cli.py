@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraModel, ScenarioError,
-                       apply_override, default_recall_table, load_scenario,
-                       recall_lookup, save_terrain)
+                       apply_override, default_recall_table, load_recall_table,
+                       load_scenario, recall_lookup, save_terrain)
 from uavsearch.cli import main
 
 from test_mission import tiny_terrain
@@ -210,11 +210,44 @@ def test_new_uav_must_be_complete(scenario_file, section, name, fields, noun):
 
 
 def test_recall_table_from_file(scenario_file, tmp_path):
-    table = tmp_path / "recall.txt"
-    table.write_text("0.5 3.5 0.9\n3.5 6.5 0.1\n")
-    config = load_scenario(scenario_file(lambda d: d.update(recall_table="recall.txt")))
+    table = tmp_path / "recall.csv"
+    table.write_text("gsd_low,gsd_high,total,detected,recall\n"
+                     "0.5,3.5,,,0.9\n3.5,6.5,10,1,0.1\n")
+    config = load_scenario(scenario_file(lambda d: d.update(recall_table="recall.csv")))
     assert recall_lookup(config.recall, 1.0) == 0.9
     assert recall_lookup(config.recall, 4.0) == 0.1
+
+
+def _short_terrain_row(tmp_path):
+    lines = (tmp_path / "terrain.asc").read_text().splitlines()
+    lines[8] = lines[8].rsplit(" ", 1)[0]
+    (tmp_path / "short.asc").write_text("\n".join(lines) + "\n")
+    return "short.asc"
+
+
+def _binary_file(tmp_path):
+    (tmp_path / "binary.csv").write_bytes(b"\xff\xfe")
+    return "binary.csv"
+
+
+@pytest.mark.parametrize("key, make, message", [
+    ("terrain", _short_terrain_row, "short.asc: line 9: expected 42 values, got 41"),
+    ("terrain", lambda tmp_path: "nope.asc", "nope.asc: No such file or directory"),
+    ("recall_table", lambda tmp_path: "nope.csv", "nope.csv: No such file or directory"),
+    ("recall_table", lambda tmp_path: "terrain.asc",
+     "terrain.asc: line 1: expected the header gsd_low,gsd_high,total,detected,recall, "
+     "then one bin per line"),
+    ("recall_table", _binary_file, "binary.csv: 'ascii' codec can't decode byte 0xff "
+     "in position 0: ordinal not in range(128)"),
+], ids=["terrain-short-row", "terrain-missing", "recall-missing", "recall-not-csv",
+        "recall-binary"])
+def test_input_file_errors_name_key_and_file(scenario_file, tmp_path, capsys, key, make, message):
+    path = scenario_file(lambda d: d.update({key: make(tmp_path)}))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert str(err.value) == f"{key}: {tmp_path}/{message}"
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"uavsearch: error: {key}: {tmp_path}/{message}\n"
 
 
 # CLI
@@ -396,8 +429,8 @@ def test_cli_recall(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "gsd_low,gsd_high,total,detected,recall"
-    assert "1.0,1.5,2,2,1.000000" in lines
-    assert "2.5,3.0,1,0,0.000000" in lines
+    assert "1.0,1.5,2,2,1.0" in lines
+    assert "2.5,3.0,1,0,0.0" in lines
 
 
 def test_cli_recall_out_file(tmp_path, capsys):
@@ -410,6 +443,54 @@ def test_cli_recall_out_file(tmp_path, capsys):
     assert code == 0
     assert out.read_text().startswith("gsd_low,gsd_high,total,detected,recall")
     capsys.readouterr()
+
+
+def _write_binned_inputs(tmp_path, gsds):
+    # one image per GSD, image i with i + 2 boxes of which the first i + 1
+    # are detected, so every bin has its own recall
+    for sub in ("truth", "det"):
+        (tmp_path / sub).mkdir()
+    rows = ["image_id,gsd"]
+    for i, gsd_value in enumerate(gsds):
+        boxes = [f"0 {0.1 + 0.1 * k:.1f} 0.5 0.05 0.05" for k in range(i + 2)]
+        (tmp_path / "truth" / f"img{i}.txt").write_text("".join(b + "\n" for b in boxes))
+        (tmp_path / "det" / f"img{i}.txt").write_text(
+            "".join(b + " 0.9\n" for b in boxes[:i + 1]))
+        rows.append(f"img{i},{gsd_value!r}")
+    (tmp_path / "images.csv").write_text("\n".join(rows) + "\n")
+    return ["recall", "--images", str(tmp_path / "images.csv"),
+            "--truth", str(tmp_path / "truth"), "--detections", str(tmp_path / "det")]
+
+
+@pytest.mark.parametrize("bin_width, gsds, edges", [
+    ("0.5", [0.6, 1.1, 1.6], [0.5, 1.0, 1.5, 2.0]),
+    ("0.25", [0.3, 0.6, 0.8], [0.25, 0.5, 0.75, 1.0]),
+], ids=["width-0.5", "width-0.25"])
+def test_cli_recall_table_round_trip(scenario_file, tmp_path, capsys, bin_width, gsds, edges):
+    # what recall writes is a recall_table as written: exact edges, and
+    # each bin's recall is its detected / total
+    out = tmp_path / "bins.csv"
+    assert main([*_write_binned_inputs(tmp_path, gsds), "--bin-width", bin_width,
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] + [float(rows[-1][1])] == edges
+    table = load_recall_table(out)
+    assert table.edges.tolist() == edges
+    for low, high, total, detected, _ in rows:
+        assert recall_lookup(table, (float(low) + float(high)) / 2) == int(detected) / int(total)
+    run = tmp_path / "run"
+    assert main(["simulate", str(scenario_file()), "--out", str(run),
+                 "--set", f"recall_table={out}"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_recall_table_with_a_gap_exits_two(scenario_file, tmp_path, capsys):
+    out = tmp_path / "bins.csv"
+    assert main([*_write_binned_inputs(tmp_path, [0.6, 1.6]), "--out", str(out)]) == 0
+    assert main(["simulate", str(scenario_file()), "--out", str(tmp_path / "run"),
+                 "--set", f"recall_table={out}"]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"recall_table: {out}: line 3: no recall bin covers [1.0, 1.5)\n")
 
 
 def test_cli_recall_input_errors(tmp_path, capsys):

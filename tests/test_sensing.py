@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from uavsearch import (CAMERA_PRESETS, CameraModel, CameraPose, GridSpec,
                        detection_rate_footprint, gsd, ground_under, in_fov,
                        line_of_sight, load_recall_table, recall_lookup,
                        to_camera_frame)
-from uavsearch.sensing import SensingError
+from uavsearch.exports import csv_text
+from uavsearch.sensing import RECALL_COLUMNS, SensingError
 
 PACKAGED_RECALLS = [0.95, 0.977, 0.956, 0.953, 0.897, 0.881,
                     0.781, 0.796, 0.719, 0.699, 0.621, 0.142]
@@ -62,7 +64,7 @@ def test_gsd_requires_positive_height():
 def test_default_recall_table_values():
     table = default_recall_table()
     assert len(table.bins) == 12
-    assert table.bin_width == 0.5
+    assert np.diff(table.edges).tolist() == [0.5] * 12
     assert table.bins[0][:2] == (0.5, 1.0)
     assert table.bins[-1][:2] == (6.0, 6.5)
     assert [b[2] for b in table.bins] == PACKAGED_RECALLS
@@ -85,26 +87,70 @@ def test_recall_lookup_bins_and_clamping():
 
 
 def test_recall_table_round_trip(tmp_path):
+    # written the way `uavsearch recall` writes it, the table reads back exactly
     table = default_recall_table()
-    text = "".join(f"{low!r} {high!r} {recall!r}\n" for low, high, recall in table.bins)
-    path = tmp_path / "recall.txt"
-    path.write_text("# comment line\n\n" + text)
-    back = load_recall_table(path)
-    assert back.bins == table.bins
-    assert back.bin_width == table.bin_width
+    path = tmp_path / "recall.csv"
+    path.write_text(csv_text(RECALL_COLUMNS, [(low, high, math.nan, math.nan, recall)
+                                              for low, high, recall in table.bins]))
+    packaged = resources.files("uavsearch").joinpath("data/recall_default.csv")
+    assert path.read_text() == packaged.read_text()
+    assert load_recall_table(path).bins == table.bins
+    path.write_text("gsd_low,gsd_high,total,detected,recall\n"
+                    "0.25,0.5,3,1,0.3333333333333333\n0.5,0.75,7,7,1.0\n")
+    assert load_recall_table(path).bins == ((0.25, 0.5, 1 / 3), (0.5, 0.75, 1.0))
 
 
-def test_recall_table_errors(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0.5 1.0\n")
-    with pytest.raises(SensingError):
-        load_recall_table(bad)
-    with pytest.raises(SensingError):
-        RecallTable(bins=((0.5, 1.0, 0.9), (1.5, 2.0, 0.8)))  # gap
-    with pytest.raises(SensingError):
-        RecallTable(bins=((0.5, 1.0, 1.2),))  # recall outside [0, 1]
-    with pytest.raises(SensingError):
-        RecallTable(bins=((0.5, 1.5, 0.9),), bin_width=0.5)  # wrong width
+HEADER = "gsd_low,gsd_high,total,detected,recall\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEADER + "0.5,1.0,,,0.9\n1.5,2.0,,,0.8\n", "line 3: no recall bin covers [1.0, 1.5)"),
+    (HEADER + "0.5,1.0,,,0.9\n0.8,2.0,,,0.8\n",
+     "line 3: recall bin [0.8, 2.0) overlaps the one before"),
+    (HEADER + "0.5,1.0,4,3,0.7\n",
+     "line 2: recall 0.7 is not detected / total with 0 <= detected 3 <= total 4"),
+    (HEADER + "0.5,1.0,4,5,1.25\n",
+     "line 2: recall 1.25 is not detected / total with 0 <= detected 5 <= total 4"),
+    (HEADER + "0.5,1.0,0,0,0.0\n",
+     "line 2: recall 0.0 is not detected / total with 0 <= detected 0 <= total 0, total >= 1"),
+    (HEADER + "0.5,1.0,4,,0.75\n", "line 2: cannot parse '0.5,1.0,4,,0.75'"),
+    (HEADER + "0.5,1.0,4.0,3,0.75\n", "line 2: cannot parse"),
+    ("0.5 1.0 0.95\n1.0 1.5 0.977\n",
+     "line 1: expected the header gsd_low,gsd_high,total,detected,recall"),
+    ("", "line 1: expected the header"),
+    (HEADER,
+     "line 1: expected the header gsd_low,gsd_high,total,detected,recall, then one bin"),
+    (HEADER + "0.5,1.0,,,0.9\n1.0,inf,,,0.8\n",
+     "line 3: recall bin [1.0, inf) must be finite and non-empty"),
+    (HEADER + "nan,1.0,,,0.9\n", "line 2: recall bin [nan, 1.0) must be finite"),
+    (HEADER + "1.0,1.0,,,0.9\n", "line 2: recall bin [1.0, 1.0) must be finite and non-empty"),
+    (HEADER + "0.5,1.0,,,1.2\n", "line 2: recall 1.2 outside [0, 1]"),
+    (HEADER + "0.5,1.0,,0.9\n", "line 2: expected 5 columns, got 4"),
+    (HEADER + "0.5,1.0,,,0.9\n\n", "line 3: expected 5 columns, got 1"),
+], ids=["gap", "overlap", "counts-disagree", "detected-above-total", "no-total",
+        "one-count", "float-count", "whitespace-format", "empty", "no-bins",
+        "inf-edge", "nan-edge", "empty-bin", "recall-above-one", "short-row", "blank-line"])
+def test_recall_table_file_errors(tmp_path, text, message):
+    path = tmp_path / "bins.csv"
+    path.write_text(text)
+    with pytest.raises(SensingError) as err:
+        load_recall_table(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert message in str(err.value)
+
+
+def test_recall_table_errors():
+    with pytest.raises(SensingError, match=r"no recall bin covers \[1.0, 1.5\)"):
+        RecallTable(bins=((0.5, 1.0, 0.9), (1.5, 2.0, 0.8)))
+    with pytest.raises(SensingError, match=r"recall 1.2 outside \[0, 1\]"):
+        RecallTable(bins=((0.5, 1.0, 1.2),))
+    with pytest.raises(SensingError, match="must be finite"):
+        RecallTable(bins=((0.5, math.inf, 0.9),))
+    with pytest.raises(SensingError, match="at least one bin"):
+        RecallTable(bins=())
+    # bins need not share a width
+    table = RecallTable(bins=((0.5, 1.0, 0.9), (1.0, 3.0, 0.5)))
+    assert recall_lookup(table, 2.9) == 0.5 and recall_lookup(table, 3.0) == 0.0
 
 
 def test_to_camera_frame_yaw_alignment():
