@@ -23,10 +23,10 @@ from .hedac import (FieldState, HedacParams, PotentialSolver, accomplishment,
                     accumulate_coverage, neumann_laplacian, steering_gradient)
 from .exports import (export_mission, export_validation, mission_summary,
                       write_grid_pgm, write_timing)
-from .mission import (NO_FLY_FLOOR, FlightConfig, FlightLog, MissionConfig, MissionEnv,
+from .mission import (NO_FLY_FLOOR, FlightConfig, FlightLog, MissionConfig,
                       MissionReport, MonteCarloConfig, SyntheticTarget, TargetTracker,
                       ValidationReport, binomial_band, monte_carlo_validate,
-                      prepare_environment, run_flight, run_mission)
+                      run_flight, run_mission)
 from .scenario import apply_override, load_scenario, parse_scenario
 from .sensing import (CAMERA_PRESETS, CameraModel, CameraPose, RecallTable,
                       SensingParams, default_recall_table, detection_rate,
@@ -52,10 +52,10 @@ __all__ = [
     "SolverError", "TerrainError", "TilingError", "UavSearchError",
     "FieldState", "HedacParams", "PotentialSolver", "accomplishment",
     "accumulate_coverage", "neumann_laplacian", "steering_gradient",
-    "NO_FLY_FLOOR", "FlightConfig", "FlightLog", "MissionConfig", "MissionEnv",
+    "NO_FLY_FLOOR", "FlightConfig", "FlightLog", "MissionConfig",
     "MissionReport", "MonteCarloConfig", "SyntheticTarget", "TargetTracker",
     "ValidationReport", "binomial_band", "monte_carlo_validate",
-    "prepare_environment", "run_flight", "run_mission",
+    "run_flight", "run_mission",
     "export_mission", "export_validation", "mission_summary",
     "write_grid_pgm", "write_timing",
     "apply_override", "load_scenario", "parse_scenario",

@@ -9,14 +9,13 @@ Four subcommands:
 * recall    - evaluate detection recall per ground-sampling-distance bin,
               written as the CSV that a scenario's recall_table names
 
-Exit codes: 0 success; 2 for usage and input problems: any scenario
-key or value that fails at load (validate's --targets and --seed are
-monte_carlo overrides), including each flight's vehicle and camera
-preset names and the first flight's start, a bad terrain or
-recall-table file (named by its key and path), other unreadable
-files, invalid tiling geometry; 1 for failures during a run, including
-the mission checks that need the built flight domain (a start outside
-it, terrain cover, the replan period).
+Exit codes: 0 success; 2 for any usage or input problem: every
+scenario key, value or file (validate's --targets and --seed are
+monte_carlo overrides) is checked at load, the flight-domain checks
+included, and its error names its key; also unreadable or malformed
+label and image files, and invalid tiling geometry; 1 for a failure
+during a flight (e.g. the vehicle below ground), an unwritable output,
+or a validation whose empirical curve leaves the band.
 Errors print as a single "uavsearch: error: ..." line on stderr.
 
 Label files use the plain text-per-image convention: one box per line,
@@ -43,14 +42,8 @@ _INPUT_ERRORS_EXIT = 2
 _RUNTIME_ERRORS_EXIT = 1
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _fail_input(message: str) -> _CliError:
-    return _CliError(message, _INPUT_ERRORS_EXIT)
+class _InputError(Exception):
+    """A usage or input problem, reported with exit code 2."""
 
 
 def _load_config(args, overrides=()) -> "MissionConfig":
@@ -58,7 +51,7 @@ def _load_config(args, overrides=()) -> "MissionConfig":
     try:
         return load_scenario(args.scenario, overrides=[*(args.set or []), *overrides])
     except (UavSearchError, OSError) as exc:
-        raise _fail_input(str(exc)) from exc
+        raise _InputError(str(exc)) from exc
 
 
 def _out_dir(args, config) -> Path:
@@ -77,11 +70,11 @@ def _read_boxes(path: Path, n_fields: int, make) -> list:
             continue
         parts = line.split()
         if len(parts) != n_fields:
-            raise _fail_input(f"{path}:{ln}: expected {n_fields} fields, got {len(parts)}")
+            raise _InputError(f"{path}:{ln}: expected {n_fields} fields, got {len(parts)}")
         try:
             out.append(make(int(parts[0]), *map(float, parts[1:])))
         except ValueError as exc:
-            raise _fail_input(f"{path}:{ln}: {exc}") from exc
+            raise _InputError(f"{path}:{ln}: {exc}") from exc
     return out
 
 
@@ -99,11 +92,8 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
     started = time.perf_counter()
-    try:
-        report = run_mission(config)
-        export_mission(report, out)
-    except UavSearchError as exc:
-        raise _CliError(str(exc), _RUNTIME_ERRORS_EXIT) from exc
+    report = run_mission(config)
+    export_mission(report, out)
     write_timing(out, time.perf_counter() - started)
     print(f"mission {report.mission_id}: accomplishment {report.final_eta:.4f} "
           f"after {report.times[-1]:.0f} s")
@@ -120,11 +110,8 @@ def _cmd_validate(args) -> int:
                                  if value is not None])
     out = _out_dir(args, config)
     started = time.perf_counter()
-    try:
-        report = monte_carlo_validate(config)
-        export_validation(report, out)
-    except UavSearchError as exc:
-        raise _CliError(str(exc), _RUNTIME_ERRORS_EXIT) from exc
+    report = monte_carlo_validate(config)
+    export_validation(report, out)
     write_timing(out, time.perf_counter() - started)
     verdict = "inside" if report.within_band else "OUTSIDE"
     print(f"mission {report.mission.mission_id}: predicted {report.predicted[-1]:.4f}, "
@@ -140,15 +127,15 @@ def _cmd_tile(args) -> int:
         plan = plan_tiles(args.width, args.height, args.tile_width,
                           args.tile_height, args.overlap)
     except UavSearchError as exc:
-        raise _fail_input(str(exc)) from exc
+        raise _InputError(str(exc)) from exc
     labels = None
     if args.labels:
         if not args.out:
-            raise _fail_input("--labels needs --out to write per-tile label files")
+            raise _InputError("--labels needs --out to write per-tile label files")
         try:
             labels = read_labels(Path(args.labels))
         except OSError as exc:
-            raise _fail_input(str(exc)) from exc
+            raise _InputError(str(exc)) from exc
     header = "name,row,col,x0,y0,width,height"
     lines = [header]
     for tile in plan.tiles:
@@ -177,7 +164,7 @@ def _cmd_recall(args) -> int:
     try:
         lines = images_path.read_text().splitlines()
     except OSError as exc:
-        raise _fail_input(str(exc)) from exc
+        raise _InputError(str(exc)) from exc
     images = []
     for ln, line in enumerate(lines, start=1):
         line = line.strip()
@@ -185,18 +172,18 @@ def _cmd_recall(args) -> int:
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
-            raise _fail_input(f"{images_path}:{ln}: expected image_id,gsd")
+            raise _InputError(f"{images_path}:{ln}: expected image_id,gsd")
         try:
             images.append(ImageMeta(image_id=parts[0], gsd=float(parts[1])))
         except ValueError as exc:
-            raise _fail_input(f"{images_path}:{ln}: {exc}") from exc
+            raise _InputError(f"{images_path}:{ln}: {exc}") from exc
     truth_dir = Path(args.truth)
     det_dir = Path(args.detections)
     truths, detections = {}, {}
     for meta in images:
         truth_file = truth_dir / f"{meta.image_id}.txt"
         if not truth_file.exists():
-            raise _fail_input(f"missing ground truth file {truth_file}")
+            raise _InputError(f"missing ground truth file {truth_file}")
         truths[meta.image_id] = read_labels(truth_file)
         det_file = det_dir / f"{meta.image_id}.txt"
         detections[meta.image_id] = read_detections(det_file) if det_file.exists() else []
@@ -204,7 +191,7 @@ def _cmd_recall(args) -> int:
         bins = recall_per_bin(images, truths, detections, args.iou,
                               args.confidence, args.bin_width)
     except UavSearchError as exc:
-        raise _fail_input(str(exc)) from exc
+        raise _InputError(str(exc)) from exc
     text = csv_text(RECALL_COLUMNS, ([getattr(b, c) for c in RECALL_COLUMNS] for b in bins))
     if args.out:
         Path(args.out).write_text(text)
@@ -268,12 +255,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_InputError, UavSearchError, OSError) as exc:
         print(f"uavsearch: error: {exc}", file=sys.stderr)
-        return exc.code
-    except (UavSearchError, OSError) as exc:
-        print(f"uavsearch: error: {exc}", file=sys.stderr)
-        return _RUNTIME_ERRORS_EXIT
+        return _INPUT_ERRORS_EXIT if isinstance(exc, _InputError) else _RUNTIME_ERRORS_EXIT
 
 
 if __name__ == "__main__":

@@ -269,7 +269,9 @@ class Planner:
     """What the planner needs that depends only on the vehicle limits,
     the planner configuration and the flight's clearances, built once
     per flight. min_clearance is the hard terrain floor (m above
-    ground), goal_clearance the tracked height above ground.
+    ground), goal_clearance the tracked height above ground. bounds
+    (xmin, xmax, ymin, ymax) is the box the altitude references are
+    clamped to: the region the vehicle can reach.
 
     speeds, inclines, v_h and v_z are the control lattice in speed-major
     order: speeds span [0, v_h_max], inclines the vehicle's incline
@@ -291,13 +293,14 @@ class Planner:
     """
 
     def __init__(self, limits: UavLimits, config: MpcConfig, min_clearance: float,
-                 goal_clearance: float):
+                 goal_clearance: float, bounds: tuple[float, float, float, float]):
         if not 0 <= min_clearance <= goal_clearance:
             raise MpcInfeasibleError("clearances must satisfy 0 <= min <= goal")
         self.limits = limits
         self.config = config
         self.min_clearance = min_clearance
         self.goal_clearance = goal_clearance
+        self.bounds = bounds
         steps = limits.mpc_steps
         self.dt = dt = limits.mpc_horizon_s / steps
         self._dv_h = (limits.a_h_min * dt - _EPS, limits.a_h_max * dt + _EPS)
@@ -368,11 +371,11 @@ class Planner:
           extent, nodata cells skipped) plus min clearance and the
           safety margin, capped at the altitude reachable by that stage;
         * refs[i] is goal clearance above the ground expected at the
-          current speed along the frozen heading.
+          current speed along the frozen heading, clamped to bounds.
         """
         limits, dt = self.limits, self.dt
         steps = limits.mpc_steps
-        xmin, xmax, ymin, ymax = grid.extent
+        xmin, xmax, ymin, ymax = self.bounds
 
         # Window of terrain cells around the vehicle, as wide as the last disc.
         radii = self._disc_reach + 0.75 * grid.cell_size

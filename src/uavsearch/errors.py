@@ -26,9 +26,9 @@ class SolverError(UavSearchError):
 
 
 class MissionError(UavSearchError):
-    """A flight, mission or Monte Carlo value out of range (raised by
-    FlightConfig, MissionConfig and MonteCarloConfig), a mission input
-    found bad before the first step, or a failure during a run."""
+    """A flight, mission or Monte Carlo input that fails the check of
+    its FlightConfig, MissionConfig or MonteCarloConfig, or a failure
+    during a run."""
 
 
 class TilingError(UavSearchError):

@@ -94,12 +94,27 @@ class MonteCarloConfig:
 
 
 @dataclass(frozen=True)
-class MissionConfig:
-    """Everything needed to run a mission.
+class FlightSetup:
+    """A flight's resolved pieces. planner.limits is its vehicle and
+    planner.bounds the box its positions are clamped to; replan is its
+    replan period in sensing steps; start is its spawn state, or None to
+    continue from the previous flight's end state."""
 
-    uavs keeps the scenario's own vehicle presets, although each flight
-    already carries its resolved vehicle: bench/checks.py reads it for
-    its independent limits oracle.
+    planner: Planner
+    replan: int
+    start: UavState | None
+
+
+@dataclass(frozen=True)
+class MissionConfig:
+    """Everything needed to run a mission, checked and resolved once at
+    construction by prepare_environment, so a bad input in any flight
+    fails before any flight starts.
+
+    The derived fields are what every run reads: grid is the flight
+    domain, density its initial density, solver its potential solver,
+    setups each flight's FlightSetup, and ground the read-only terrain
+    elevation under the domain's cell centers.
     """
 
     mission_id: str
@@ -112,13 +127,23 @@ class MissionConfig:
     sensing: SensingParams = SensingParams()
     recall: RecallTable = dataclass_field(default_factory=default_recall_table)
     mpc: MpcConfig = MpcConfig()
-    uavs: dict[str, UavLimits] | None = None
     monte_carlo: MonteCarloConfig = MonteCarloConfig()
+    grid: GridSpec = dataclass_field(init=False, repr=False, compare=False)
+    density: DensityGrid = dataclass_field(init=False, repr=False, compare=False)
+    solver: PotentialSolver = dataclass_field(init=False, repr=False, compare=False)
+    setups: tuple[FlightSetup, ...] = dataclass_field(init=False, repr=False, compare=False)
+    ground: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.flights and self.flights[0].start is None:
             raise MissionError(
                 "flights.0.start: the first flight has no previous flight to continue from")
+        prepare_environment(self)
+
+    @property
+    def uavs(self) -> dict[str, UavLimits]:
+        """The vehicle each flight flies, by name."""
+        return {f.uav.name: f.uav for f in self.flights}
 
 
 @dataclass
@@ -191,37 +216,14 @@ class ValidationReport:
         return self.mission.times
 
 
-@dataclass(frozen=True)
-class FlightSetup:
-    """A flight's resolved pieces. planner.limits is its vehicle; replan
-    is its replan period in sensing steps; start is its spawn state, or
-    None to continue from the previous flight's end state."""
-
-    config: FlightConfig
-    planner: Planner
-    replan: int
-    start: UavState | None
-
-
-@dataclass(frozen=True)
-class MissionEnv:
-    """A mission checked and resolved once, before its first step. grid
-    is the flight domain, ground the terrain under its cell centers."""
-
-    config: MissionConfig
-    grid: GridSpec
-    density: DensityGrid
-    solver: PotentialSolver
-    flights: tuple[FlightSetup, ...]
-    ground: np.ndarray
-
-
 def _spawn_state(flight: FlightConfig, terrain: TerrainGrid, grid: GridSpec,
                  index: int) -> UavState:
     """At rest at goal clearance above the start, heading to the domain center."""
     x, y = float(flight.start[0]), float(flight.start[1])
     if not bool(grid.contains(x, y)):
-        raise MissionError(f"flight {index}: start ({x:g}, {y:g}) outside the flight domain")
+        gx0, gx1, gy0, gy1 = grid.rect
+        raise MissionError(f"flights.{index}.start: ({x:g}, {y:g}) outside the flight "
+                           f"domain ({gx0:g}, {gy0:g})..({gx1:g}, {gy1:g})")
     cx, cy = grid.center
     heading = math.atan2(cy - y, cx - x) if (cx, cy) != (x, y) else 0.0
     return UavState(x=x, y=y, z=elevation_at(terrain, x, y) + flight.goal_altitude,
@@ -238,17 +240,21 @@ def _replan_period(limits: UavLimits, where: str) -> int:
     return int(rounded)
 
 
-def prepare_environment(config: MissionConfig) -> MissionEnv:
-    """Check the mission inputs that need the built flight domain and
-    build each flight's pieces, so that a bad input in any flight fails
-    before the first step. The checks that read only the config are
-    MissionConfig's."""
+def prepare_environment(config: MissionConfig) -> None:
+    """Check the mission inputs that need the built flight domain, each
+    error naming its scenario key, and store config's derived fields.
+    MissionConfig.__post_init__ calls it once per config.
+
+    Each flight's positions, and so its planner's altitude references,
+    stay inside the cell-center hull of the domain, which lies on the
+    terrain with no nodata under it.
+    """
     grid = build_flight_domain(config.zones, config.offset, config.cell_size)
     xmin, xmax, ymin, ymax = config.terrain.extent
     gx0, gx1, gy0, gy1 = grid.rect
     if gx0 < xmin or gx1 > xmax or gy0 < ymin or gy1 > ymax:
         raise MissionError(
-            "terrain does not cover the flight domain: domain rectangle "
+            "terrain: does not cover the flight domain: domain rectangle "
             f"({gx0:g}, {gy0:g})..({gx1:g}, {gy1:g}) vs terrain extent "
             f"({xmin:g}, {ymin:g})..({xmax:g}, {ymax:g})"
         )
@@ -256,33 +262,38 @@ def prepare_environment(config: MissionConfig) -> MissionEnv:
     if nodata is not None:
         row, col = nodata
         raise MissionError(
-            f"terrain cell (row {row}, col {col}) at ({config.terrain.x_centers[col]:g}, "
+            f"terrain: cell (row {row}, col {col}) at ({config.terrain.x_centers[col]:g}, "
             f"{config.terrain.y_centers[row]:g}) is nodata under the flight domain "
             f"({gx0:g}, {gy0:g})..({gx1:g}, {gy1:g})")
     total_people = sum(z.person_count for z in config.zones)
     density = build_initial_density(config.zones, grid, total_people)
+    half = 0.5 * grid.cell_size
+    hull = (gx0 + half, gx1 - half, gy0 + half, gy1 - half)
 
     setups = []
     for idx, flight in enumerate(config.flights):
         start = None if flight.start is None else _spawn_state(
             flight, config.terrain, grid, idx)
-        where = f"flight {idx} ({flight.uav.name})"
+        where = f"flights.{idx}.uav: vehicle {flight.uav.name!r}"
         replan = _replan_period(flight.uav, where)
         try:
-            planner = Planner(flight.uav, config.mpc, flight.min_altitude, flight.goal_altitude)
+            planner = Planner(flight.uav, config.mpc, flight.min_altitude,
+                              flight.goal_altitude, hull)
         except MpcInfeasibleError as exc:
             raise MpcInfeasibleError(f"{where}: {exc}") from exc
-        setups.append(FlightSetup(config=flight, planner=planner, replan=replan, start=start))
-    return MissionEnv(config=config, grid=grid, density=density,
-                      solver=PotentialSolver(grid, config.hedac),
-                      flights=tuple(setups),
-                      ground=ground_under(config.terrain, grid))
+        setups.append(FlightSetup(planner=planner, replan=replan, start=start))
+    ground = ground_under(config.terrain, grid)
+    ground.flags.writeable = False
+    for name, value in (("grid", grid), ("density", density),
+                        ("solver", PotentialSolver(grid, config.hedac)),
+                        ("setups", tuple(setups)), ("ground", ground)):
+        object.__setattr__(config, name, value)
 
 
-def run_flight(field_state: FieldState, env: MissionEnv, index: int,
+def run_flight(field_state: FieldState, config: MissionConfig, index: int,
                carried: UavState | None = None, base_time: float = 0.0,
                observer=None) -> tuple[UavState, FlightLog, list[float], int]:
-    """Run flight index of env, mutating the shared field state.
+    """Run flight index of config, mutating the shared field state.
 
     Returns (final vehicle state, log, accomplishment after each 1 s
     sensing step, boundary clamp count). observer, if given, is called
@@ -291,15 +302,11 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     so the vehicle state and the field state are all that connected
     flights carry over.
     """
-    setup = env.flights[index]
-    flight, planner = setup.config, setup.planner
+    flight, setup = config.flights[index], config.setups[index]
+    planner = setup.planner
     limits = planner.limits
-    terrain = env.config.terrain
-
-    grid_rect = env.grid.rect
-    half_cell = 0.5 * env.grid.cell_size
-    clamp_lo = (grid_rect[0] + half_cell, grid_rect[2] + half_cell)
-    clamp_hi = (grid_rect[1] - half_cell, grid_rect[3] - half_cell)
+    terrain = config.terrain
+    xmin, xmax, ymin, ymax = planner.bounds
 
     state = setup.start if setup.start is not None else replace(carried, t=0.0)
     log = FlightLog(flight_index=index, uav=flight.uav.name, camera=flight.camera.name)
@@ -310,8 +317,8 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     target_v_h, target_v_z = state.v_h, state.v_z
     omega = 0.0
 
-    # Poses stay inside the flight domain, which prepare_environment
-    # proved to lie on the terrain without nodata under it.
+    # Poses stay inside planner.bounds, which prepare_environment proved
+    # to lie on the terrain without nodata under it.
     def log_row(s: UavState, prev: UavState | None) -> None:
         ground = ground_at(terrain, s.x, s.y)
         if s.z < ground:
@@ -339,12 +346,12 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     for k in range(flight.duration_s):
         pose = CameraPose(x=state.x, y=state.y, z=state.z, yaw=state.heading)
         accumulate_coverage(field_state, pose, flight.camera, terrain,
-                            env.config.recall, env.config.sensing, SENSE_DT, env.ground)
+                            config.recall, config.sensing, SENSE_DT, config.ground)
         eta_now = accomplishment(field_state)
         etas.append(eta_now)
         if observer is not None:
             observer(base_time + k + 1, field_state)
-        env.solver.refresh(field_state)
+        config.solver.refresh(field_state)
         direction = steering_gradient(field_state, (state.x, state.y))
         omega = 0.0 if direction is None else turn_rate_toward(
             state.heading, direction, limits.yaw_rate_max, SENSE_DT)
@@ -361,8 +368,8 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
                                    incline=math.atan2(v_z, v_h) if (v_h, v_z) != (0.0, 0.0) else 0.0,
                                    turn_rate=omega)
             state = kinematic_step(state, control, limits, KINEMATIC_DT)
-            clamped_x = min(max(state.x, clamp_lo[0]), clamp_hi[0])
-            clamped_y = min(max(state.y, clamp_lo[1]), clamp_hi[1])
+            clamped_x = min(max(state.x, xmin), xmax)
+            clamped_y = min(max(state.y, ymin), ymax)
             if (clamped_x, clamped_y) != (state.x, state.y):
                 clamp_events += 1
                 state = replace(state, x=clamped_x, y=clamped_y)
@@ -370,29 +377,27 @@ def run_flight(field_state: FieldState, env: MissionEnv, index: int,
     return state, log, etas, clamp_events
 
 
-def run_mission(config: MissionConfig | MissionEnv, observer=None) -> MissionReport:
-    """Run all flights of a mission over one shared field state, from
-    its config or from the MissionEnv prepare_environment built for it."""
-    env = config if isinstance(config, MissionEnv) else prepare_environment(config)
-    field_state = FieldState.from_density(env.density)
+def run_mission(config: MissionConfig, observer=None) -> MissionReport:
+    """Run all flights of a mission over one shared field state."""
+    field_state = FieldState.from_density(config.density)
     logs: list[FlightLog] = []
     eta = [accomplishment(field_state)]
     clamp_total = 0
     violations = {"floor": 0, "velocity": 0, "acceleration": 0}
     carried: UavState | None = None
     base_time = 0.0
-    for index, setup in enumerate(env.flights):
+    for index, flight in enumerate(config.flights):
         carried, log, etas, clamps = run_flight(
-            field_state, env, index, carried, base_time, observer)
+            field_state, config, index, carried, base_time, observer)
         logs.append(log)
         eta.extend(etas)
         clamp_total += clamps
         for key, count in log.violation_counts().items():
             violations[key] += count
-        base_time += setup.config.duration_s
-    return MissionReport(mission_id=env.config.mission_id, logs=logs,
+        base_time += flight.duration_s
+    return MissionReport(mission_id=config.mission_id, logs=logs,
                          times=np.arange(len(eta), dtype=float), eta=np.array(eta),
-                         field=field_state, density=env.density, clamp_events=clamp_total,
+                         field=field_state, density=config.density, clamp_events=clamp_total,
                          violations=violations)
 
 
@@ -480,9 +485,8 @@ def monte_carlo_validate(config: MissionConfig, targets: int | None = None,
     monte_carlo = replace(monte_carlo,
                           targets=monte_carlo.targets if targets is None else targets,
                           seed=monte_carlo.seed if seed is None else seed)
-    env = prepare_environment(config)
-    tracker = TargetTracker(env.density, monte_carlo)
-    report = run_mission(env, observer=tracker)
+    tracker = TargetTracker(config.density, monte_carlo)
+    report = run_mission(config, observer=tracker)
     empirical = tracker.detected_fraction(report.times)
     band_low, band_high = binomial_band(report.eta, monte_carlo.targets)
     within = bool(np.all((empirical >= band_low - 1e-12)

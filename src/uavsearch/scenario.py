@@ -7,9 +7,11 @@ dotted path so typos surface immediately instead of silently falling
 back to defaults. The keys of the sections uavs, cameras, hedac,
 sensing, mpc and monte_carlo are the number fields of their config
 dataclasses, and each dataclass checks its own values; this module
-only adds the dotted path to its errors. A flight's uav and camera
-names resolve here, against the built-in presets overlaid by the uavs
-and cameras sections, so the flights carry vehicle and camera objects.
+only adds the dotted path to its errors. MissionConfig's checks that
+need the built flight domain name their own keys. A flight's uav and
+camera names resolve here, against the built-in presets overlaid by
+the uavs and cameras sections, so the flights carry vehicle and camera
+objects.
 
 Command-line style overrides use dotted paths into the raw document,
 applied before validation, e.g.
@@ -196,9 +198,8 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
     if len(set(ids)) != len(ids):
         raise ScenarioError("scenario.zones: duplicate zone ids")
 
-    uavs = (_parse_presets(data["uavs"], "uavs", UAV_PRESETS, UavLimits, "vehicle")
-            if "uavs" in data else None)
-    vehicles = {**UAV_PRESETS, **(uavs or {})}
+    vehicles = {**UAV_PRESETS, **_parse_presets(data.get("uavs", {}), "uavs",
+                                                UAV_PRESETS, UavLimits, "vehicle")}
     cameras = {**CAMERA_PRESETS, **_parse_presets(data.get("cameras", {}), "cameras",
                                                   CAMERA_PRESETS, CameraModel, "camera")}
     flights_data = _get(data, "flights", list, "scenario")
@@ -228,7 +229,7 @@ def parse_scenario(data: dict, base_dir: Path | str = ".") -> MissionConfig:
         return MissionConfig(
             mission_id=mission_id, terrain=terrain, zones=zones, flights=flights,
             offset=offset, cell_size=cell_size, hedac=hedac, sensing=sensing,
-            mpc=mpc, uavs=uavs, monte_carlo=monte_carlo, **named)
+            mpc=mpc, monte_carlo=monte_carlo, **named)
     except UavSearchError as exc:
         raise ScenarioError(str(exc)) from exc
 

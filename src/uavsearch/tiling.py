@@ -179,8 +179,8 @@ def gsd_bin(gsd_value: float, bin_width: float = 0.5) -> int:
     """Index of the half-open GSD bin [i*w, (i+1)*w) containing the value."""
     if gsd_value < 0 or not math.isfinite(gsd_value):
         raise TilingError(f"GSD must be finite and non-negative, got {gsd_value!r}")
-    if bin_width <= 0:
-        raise TilingError("bin width must be positive")
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise TilingError(f"bin width must be finite and positive, got {bin_width!r}")
     return int(math.floor(gsd_value / bin_width))
 
 

@@ -22,6 +22,9 @@ def flat_terrain(value=0.0, ncols=80, nrows=80, cell=10.0, x0=-200.0, y0=-200.0)
                        elevations=np.full((nrows, ncols), value))
 
 
+FLAT = flat_terrain().extent  # the planner box of every flat-terrain test
+
+
 def test_wrap_angle():
     assert wrap_angle(0.0) == 0.0
     assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
@@ -166,7 +169,7 @@ def test_ramp_displacement_zero_rate_holds_current():
 
 def test_control_lattice_prunes_envelope():
     config = MpcConfig()
-    planner = Planner(M210, config, 35.0, 55.0)
+    planner = Planner(M210, config, 35.0, 55.0, FLAT)
     speeds, inclines, v_h, v_z = planner.speeds, planner.inclines, planner.v_h, planner.v_z
     assert np.all(v_h >= -1e-9) and np.all(v_h <= 10.0 + 1e-9)
     assert np.all(v_z >= -3.0 - 1e-9) and np.all(v_z <= 5.0 + 1e-9)
@@ -175,7 +178,7 @@ def test_control_lattice_prunes_envelope():
     assert not any(s == 10.0 and abs(i) == pytest.approx(math.pi / 2)
                    for s, i in zip(speeds, inclines))
     # deterministic ordering
-    again = Planner(M210, config, 35.0, 55.0)
+    again = Planner(M210, config, 35.0, 55.0, FLAT)
     for a, b in zip((speeds, inclines, v_h, v_z),
                     (again.speeds, again.inclines, again.v_h, again.v_z)):
         np.testing.assert_array_equal(a, b)
@@ -183,17 +186,17 @@ def test_control_lattice_prunes_envelope():
 
 def test_clearance_margin():
     config = MpcConfig(altitude_bucket=1.0)
-    assert Planner(M210, config, 35.0, 55.0).margin \
+    assert Planner(M210, config, 35.0, 55.0, FLAT).margin \
         == pytest.approx(3.0 ** 2 / (2.0 * 2.8) + 1.0)
-    assert Planner(MAVIC, config, 35.0, 55.0).margin \
+    assert Planner(MAVIC, config, 35.0, 55.0, FLAT).margin \
         == pytest.approx(2.0 ** 2 / (2.0 * 2.8) + 1.0)
 
 
 def test_mpc_config_validation():
     with pytest.raises(MpcInfeasibleError):
-        Planner(M210, MpcConfig(), 50.0, 40.0)
+        Planner(M210, MpcConfig(), 50.0, 40.0, FLAT)
     with pytest.raises(MpcInfeasibleError):
-        Planner(M210, MpcConfig(), -1.0, 40.0)
+        Planner(M210, MpcConfig(), -1.0, 40.0, FLAT)
     with pytest.raises(MpcInfeasibleError):
         MpcConfig(speed_levels=1)
     with pytest.raises(MpcInfeasibleError):
@@ -206,7 +209,7 @@ def test_mpc_flat_terrain_cruises_at_goal():
     grid = flat_terrain(100.0)
     config = MpcConfig()
     state = UavState(x=0.0, y=0.0, z=155.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0))
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0, FLAT))
     assert len(plan) == M210.mpc_steps
     for control in plan:
         validate_control(control, M210)
@@ -223,10 +226,10 @@ def test_mpc_climbs_before_a_wall():
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     config = MpcConfig()
     state = UavState(x=0.0, y=0.0, z=55.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, wall, Planner(M210, config, 35.0, 55.0))
+    plan = mpc_plan(state, 0.0, wall, Planner(M210, config, 35.0, 55.0, FLAT))
     # the raised floor is unreachable within one stage, so recovery
     # climbs at the steepest rate the control lattice offers
-    v_z = Planner(M210, config, 35.0, 55.0).v_z
+    v_z = Planner(M210, config, 35.0, 55.0, FLAT).v_z
     assert plan[0].v_z == pytest.approx(float(v_z.max()))
     assert plan[0].v_z == pytest.approx(5.0)  # the vertical-climb lattice point
 
@@ -235,10 +238,10 @@ def test_mpc_recovers_from_below_floor_at_max_climb():
     grid = flat_terrain(100.0)
     config = MpcConfig()
     state = UavState(x=0.0, y=0.0, z=110.0, heading=0.0, v_h=0.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0))
-    v_z = Planner(M210, MpcConfig(), 35.0, 55.0).v_z
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0, FLAT))
+    v_z = Planner(M210, MpcConfig(), 35.0, 55.0, FLAT).v_z
     assert plan[0].v_z == pytest.approx(float(v_z.max()))
-    cost, feasible = evaluate_plan(plan, state, 0.0, grid, Planner(M210, config, 35.0, 55.0))
+    cost, feasible = evaluate_plan(plan, state, 0.0, grid, Planner(M210, config, 35.0, 55.0, FLAT))
     assert feasible
 
 
@@ -247,7 +250,7 @@ def test_mpc_ties_go_to_the_first_lattice_point():
     # nothing; the planner keeps the first minimum in lattice order.
     grid = flat_terrain(100.0)
     state = UavState(x=0.0, y=0.0, z=155.0, heading=0.0, v_h=0.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig(speed_weight=0.0), 35.0, 55.0))
+    plan = mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig(speed_weight=0.0), 35.0, 55.0, FLAT))
     assert plan == [ControlInput(speed=0.0, incline=M210.incline_min)] * 5
 
 
@@ -262,8 +265,8 @@ def test_mpc_floors_skip_nodata_cells():
     holed = replace(grid, nodata=9999.0, elevations=elev)
     config = MpcConfig()
     state = UavState(x=300.0, y=300.0, z=155.0, heading=0.0, v_h=10.0, v_z=0.0)
-    plan = mpc_plan(state, 0.0, holed, Planner(M210, config, 35.0, 55.0))
-    assert plan == mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0))
+    plan = mpc_plan(state, 0.0, holed, Planner(M210, config, 35.0, 55.0, FLAT))
+    assert plan == mpc_plan(state, 0.0, grid, Planner(M210, config, 35.0, 55.0, FLAT))
     assert plan[0].v_h == pytest.approx(10.0)
     assert plan[0].v_z == pytest.approx(0.0, abs=1e-12)
 
@@ -272,7 +275,7 @@ def test_mpc_infeasible_velocity_state():
     grid = flat_terrain(0.0)
     state = UavState(x=0.0, y=0.0, z=55.0, heading=0.0, v_h=50.0, v_z=0.0)
     with pytest.raises(MpcInfeasibleError) as err:
-        mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig(), 35.0, 55.0))
+        mpc_plan(state, 0.0, grid, Planner(M210, MpcConfig(), 35.0, 55.0, FLAT))
     assert "acceleration" in str(err.value)
 
 
@@ -280,8 +283,8 @@ def test_mpc_deterministic():
     grid = flat_terrain(0.0)
     state = UavState(x=5.0, y=-3.0, z=60.0, heading=0.7, v_h=6.0, v_z=1.0)
     config = MpcConfig()
-    a = mpc_plan(state, 0.7, grid, Planner(M210, config, 35.0, 55.0))
-    b = mpc_plan(state, 0.7, grid, Planner(M210, config, 35.0, 55.0))
+    a = mpc_plan(state, 0.7, grid, Planner(M210, config, 35.0, 55.0, FLAT))
+    b = mpc_plan(state, 0.7, grid, Planner(M210, config, 35.0, 55.0, FLAT))
     assert a == b
 
 
@@ -305,7 +308,7 @@ ORACLE_CLEARANCES = (20.0, 40.0)  # min, goal
 
 
 def brute_force_plan(state, heading, grid, limits, config):
-    planner = Planner(limits, config, *ORACLE_CLEARANCES)
+    planner = Planner(limits, config, *ORACLE_CLEARANCES, HILLY)
     unique = {}
     for s, i in zip(planner.speeds, planner.inclines):
         key = (round(s * math.cos(i), 12), round(s * math.sin(i), 12))
@@ -334,6 +337,9 @@ def hilly_terrain(rng):
                        cell_size=cell, nodata=-9999.0, elevations=elev)
 
 
+HILLY = hilly_terrain(np.random.default_rng(0)).extent  # the same for every rng
+
+
 # variant with skewed acceleration bounds: its predecessor sets are not
 # nested and its membership atoms differ from its sets
 SKEW_LIMITS = replace(ORACLE_LIMITS, name="probe_skew",
@@ -356,7 +362,7 @@ def random_lattice(seed):
         "tight-random-lattice", "skew-random-lattice"])
 def test_mpc_matches_exhaustive_search(limits, config):
     rng = np.random.default_rng(77)
-    planner = Planner(limits, config, *ORACLE_CLEARANCES)
+    planner = Planner(limits, config, *ORACLE_CLEARANCES, HILLY)
     if limits is SKEW_LIMITS and config is SKEW_CONFIG:
         sets = planner.pred_sets
         assert len({row.tobytes() for row in sets}) != sets.shape[1]
@@ -428,7 +434,7 @@ def test_stage_model_matches_reference():
     still = replace(MAVIC, name="still", a_v_max=0.0)
     raised = 0
     for limits in (M210, MAVIC, still):
-        planner = Planner(limits, MpcConfig(), 35.0, 55.0)
+        planner = Planner(limits, MpcConfig(), 35.0, 55.0, HILLY)
         for n in range(700):
             if n % 50 == 0:
                 grid = hilly_terrain(rng)
@@ -462,7 +468,7 @@ def test_stage_model_matches_reference():
 @pytest.mark.parametrize("limits", [M210, MAVIC, ORACLE_LIMITS],
                          ids=["M210", "Mavic2ED", "oracle"])
 def test_predecessor_sets_rebuild_allowed(limits):
-    planner = Planner(limits, MpcConfig(), 35.0, 55.0)
+    planner = Planner(limits, MpcConfig(), 35.0, 55.0, HILLY)
     np.testing.assert_array_equal(planner.pred_sets[:, planner.set_of], planner.allowed)
     # the sets are distinct, so each stage reduces once per set
     assert len({column.tobytes() for column in planner.pred_sets.T}) \
@@ -472,7 +478,8 @@ def test_predecessor_sets_rebuild_allowed(limits):
 def test_planner_reuse_matches_fresh_planner():
     rng = np.random.default_rng(31)
     config = MpcConfig()
-    planners = {limits.name: Planner(limits, config, 20.0, 40.0) for limits in (M210, MAVIC)}
+    planners = {limits.name: Planner(limits, config, 20.0, 40.0, HILLY)
+                for limits in (M210, MAVIC)}
     from uavsearch import elevation_at
     for n in range(50):
         limits = (M210, MAVIC)[n % 2]
@@ -485,7 +492,7 @@ def test_planner_reuse_matches_fresh_planner():
             v_z=float(rng.uniform(limits.v_z_min, limits.v_z_max)),
         )
         outcomes = []
-        for planner in (planners[limits.name], Planner(limits, config, 20.0, 40.0)):
+        for planner in (planners[limits.name], Planner(limits, config, 20.0, 40.0, HILLY)):
             try:
                 outcomes.append(mpc_plan(state, state.heading, grid, planner))
             except MpcInfeasibleError as exc:
@@ -498,9 +505,9 @@ def test_evaluate_plan_rejects_wrong_length_and_limit_breaks():
     state = UavState(x=0.0, y=0.0, z=60.0, heading=0.0, v_h=0.0, v_z=0.0)
     with pytest.raises(MpcInfeasibleError):
         evaluate_plan([ControlInput(5.0, 0.0)], state, 0.0, grid,
-                      Planner(M210, MpcConfig(), 35.0, 55.0))
+                      Planner(M210, MpcConfig(), 35.0, 55.0, FLAT))
     # jumping to full speed from rest overruns a_h_max * dt = 6 m/s:
     # the sequence evaluates infeasible instead of raising
     hard = [ControlInput(10.0, 0.0)] + [ControlInput(0.0, 0.0)] * 4
-    cost, ok = evaluate_plan(hard, state, 0.0, grid, Planner(M210, MpcConfig(), 35.0, 55.0))
+    cost, ok = evaluate_plan(hard, state, 0.0, grid, Planner(M210, MpcConfig(), 35.0, 55.0, FLAT))
     assert not ok and cost == math.inf

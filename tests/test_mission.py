@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import uavsearch.mission as mission
 from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraPose, DensityGrid, FieldState,
                        FlightConfig, GridSpec, HedacParams, MissionConfig, MissionError,
                        MonteCarloConfig, MpcInfeasibleError, TargetTracker, TerrainGrid,
-                       UavState, Zone, binomial_band, build_initial_density,
-                       detection_rate_footprint, elevation_at, ground_under,
-                       monte_carlo_validate, prepare_environment, run_flight,
-                       run_mission)
+                       UavState, Zone, binomial_band, detection_rate_footprint, elevation_at,
+                       load_scenario, monte_carlo_validate, run_flight, run_mission)
 
 NCOLS = NROWS = 42
 CELL = 10.0
@@ -57,10 +56,14 @@ def one_flight(duration=20, start=(10.0, 10.0), **kwargs):
 def test_prepare_environment_validation():
     # preset names and the first start fail at load
     # (test_scenario_cli); a domain larger than the terrain needs the
-    # built domain
+    # built domain, so prepare_environment checks it when the config is
+    # built, naming the scenario key
     with pytest.raises(MissionError) as err:
-        prepare_environment(tiny_config([one_flight()], offset=500.0))
-    assert "terrain does not cover" in str(err.value)
+        tiny_config([one_flight()], offset=500.0)
+    assert err.traceback[-1].name == "prepare_environment"
+    assert str(err.value) == (
+        "terrain: does not cover the flight domain: domain rectangle (-500, -500)..(700, 700) "
+        "vs terrain extent (-65, -65)..(345, 345)")
 
 
 def terrain_with_nodata(x, y):
@@ -79,27 +82,38 @@ def test_nodata_outside_the_domain_changes_nothing():
     want, got = run_mission(clean), run_mission(holed)
     assert got.logs[0].rows == want.logs[0].rows
     np.testing.assert_array_equal(got.eta, want.eta)
-    env = prepare_environment(clean)
-    camera = env.flights[0].config.camera
+    camera = clean.flights[0].camera
     for t, x, y, z, heading, *_ in want.logs[0].rows[::4]:
         pose = CameraPose(x=x, y=y, z=z, yaw=heading)
         a = detection_rate_footprint(pose, camera, clean.terrain, clean.recall,
-                                     clean.sensing, env.grid,
-                                     ground_under(clean.terrain, env.grid))
+                                     clean.sensing, clean.grid, clean.ground)
         b = detection_rate_footprint(pose, camera, holed.terrain, clean.recall,
-                                     clean.sensing, env.grid,
-                                     ground_under(holed.terrain, env.grid))
+                                     clean.sensing, holed.grid, holed.ground)
         assert (b[0], b[1]) == (a[0], a[1]), t
         np.testing.assert_array_equal(b[2], a[2])
 
 
 def test_nodata_under_the_domain_fails_at_load():
-    config = tiny_config([one_flight()], terrain=terrain_with_nodata(100.0, 100.0))
     with pytest.raises(MissionError) as err:
-        prepare_environment(config)
-    assert "terrain cell (row 17, col 17) at (105, 105) is nodata" in str(err.value)
-    with pytest.raises(MissionError):
-        run_mission(config)
+        tiny_config([one_flight()], terrain=terrain_with_nodata(100.0, 100.0))
+    assert str(err.value) == ("terrain: cell (row 17, col 17) at (105, 105) is nodata "
+                              "under the flight domain (-50, -50)..(250, 250)")
+
+
+def test_planner_references_stay_inside_the_domain():
+    # nodata 10-30 m east of the domain (x = 250) lies where the vehicle
+    # cannot go, so its altitude references must not look there either:
+    # the flight is the one over clean terrain
+    terrain = tiny_terrain()
+    elev = terrain.elevations.copy()
+    elev[:, 33:35] = terrain.nodata  # cell centers x = 265 and 275
+    flights = [one_flight(duration=120, start=(200.0, 100.0))]
+    clean = tiny_config(flights)
+    holed = tiny_config(flights, terrain=replace(terrain, elevations=elev))
+    assert clean.setups[0].planner.bounds == (-45.0, 245.0, -45.0, 245.0)
+    want, got = run_mission(clean), run_mission(holed)
+    assert got.logs[0].rows == want.logs[0].rows
+    np.testing.assert_array_equal(got.eta, want.eta)
 
 
 def test_custom_presets_resolved():
@@ -108,8 +122,7 @@ def test_custom_presets_resolved():
     slow = replace(UAV_PRESETS["M210"], name="Slow", v_h_max=4.0)
     config = tiny_config([one_flight(uav=slow),
                           one_flight(start=None, min_altitude=40.0)])
-    env = prepare_environment(config)
-    first, second = env.flights
+    first, second = config.setups
     assert first.planner.limits is slow
     assert second.planner.limits is UAV_PRESETS["M210"]
     assert first.planner.min_clearance == 35.0
@@ -117,57 +130,54 @@ def test_custom_presets_resolved():
     assert second.planner.goal_clearance == 55.0
     assert first.planner.config is second.planner.config is config.mpc
     assert first.replan == second.replan == 3
+    assert config.uavs == {"Slow": slow, "M210": UAV_PRESETS["M210"]}
 
 
 def test_initial_state_and_start_checks():
     config = tiny_config([one_flight(start=(10.0, 10.0)), one_flight(start=None)])
-    env = prepare_environment(config)
-    state = env.flights[0].start
+    state = config.setups[0].start
     ground = elevation_at(config.terrain, 10.0, 10.0)
     assert state.z == pytest.approx(ground + 55.0)
-    cx, cy = env.grid.center
+    cx, cy = config.grid.center
     assert state.heading == pytest.approx(math.atan2(cy - 10.0, cx - 10.0))
     assert state.v_h == 0.0 and state.v_z == 0.0 and state.t == 0.0
-    assert env.flights[1].start is None  # continues from flight 0
+    assert config.setups[1].start is None  # continues from flight 0
     with pytest.raises(MissionError) as err:
-        prepare_environment(tiny_config([one_flight(start=(9e9, 0.0))]))
-    assert "flight 0: start (9e+09, 0) outside the flight domain" in str(err.value)
+        tiny_config([one_flight(start=(9e9, 0.0))])
+    assert str(err.value) == ("flights.0.start: (9e+09, 0) outside the flight domain "
+                              "(-50, -50)..(250, 250)")
 
 
 def test_replan_period_must_align_with_sensing():
-    config = tiny_config([one_flight(duration=2, uav=WEIRD)])
     with pytest.raises(MissionError) as err:
-        run_mission(config)
-    assert "flight 0 (Weird): replan period 2.8 s must be a whole multiple of 1 s" \
-        in str(err.value)
+        tiny_config([one_flight(duration=2, uav=WEIRD)])
+    assert str(err.value) == (
+        "flights.0.uav: vehicle 'Weird': replan period 2.8 s must be a whole multiple of 1 s")
 
 
-@pytest.mark.parametrize("last, fragment", [
-    (dict(start=(9e3, 10.0)), "flight 2: start (9000, 10) outside the flight domain"),
+@pytest.mark.parametrize("last, message", [
+    (dict(start=(9e3, 10.0)),
+     "flights.2.start: (9000, 10) outside the flight domain (-50, -50)..(250, 250)"),
     (dict(uav=WEIRD, start=None),
-     "flight 2 (Weird): replan period 2.8 s must be a whole multiple of 1 s"),
+     "flights.2.uav: vehicle 'Weird': replan period 2.8 s must be a whole multiple of 1 s"),
 ], ids=["start-outside", "horizon-14s"])
-def test_bad_last_flight_fails_before_the_first_step(last, fragment):
-    config = tiny_config([one_flight(duration=5), one_flight(duration=5, start=None),
-                          one_flight(duration=5, **last)])
+def test_bad_last_flight_fails_before_the_first_step(last, message):
+    # the config of a mission whose last flight is bad cannot be built,
+    # so no flight of it can start
     with pytest.raises(MissionError) as err:
-        prepare_environment(config)
-    assert fragment in str(err.value)
-    calls = []
-    with pytest.raises(MissionError) as err:
-        run_mission(config, observer=lambda t, field: calls.append(t))
-    assert fragment in str(err.value)
-    assert calls == []
+        tiny_config([one_flight(duration=5), one_flight(duration=5, start=None),
+                     one_flight(duration=5, **last)])
+    assert str(err.value) == message
 
 
 def test_lattice_error_names_the_flight():
     # level flight only, but every allowed climb rate is positive
     stuck = replace(UAV_PRESETS["M210"], name="Stuck", incline_min_deg=0.0,
                     incline_max_deg=0.0, v_z_min=1.0)
-    config = tiny_config([one_flight(), one_flight(uav=stuck, start=None)])
     with pytest.raises(MpcInfeasibleError) as err:
-        prepare_environment(config)
-    assert str(err.value).startswith("flight 1 (Stuck): control lattice has no point")
+        tiny_config([one_flight(), one_flight(uav=stuck, start=None)])
+    assert str(err.value) == ("flights.1.uav: vehicle 'Stuck': control lattice has no point "
+                              "inside the velocity bounds")
 
 
 def test_run_mission_log_grid_and_flags():
@@ -205,20 +215,19 @@ def test_connected_flights_carry_state():
 
 def test_ground_cached_once_per_mission():
     config = tiny_config([one_flight()])
-    env = prepare_environment(config)
-    xs, ys = env.grid.center_mesh()
-    np.testing.assert_array_equal(env.ground, elevation_at(config.terrain, xs, ys))
+    xs, ys = config.grid.center_mesh()
+    np.testing.assert_array_equal(config.ground, elevation_at(config.terrain, xs, ys))
+    assert not config.ground.flags.writeable  # every run of config reads it
 
 
 def test_below_ground_error_names_flight_time_and_pose():
     # a carried state under the terrain fails on its first log row, at
     # the mission time the flight starts
     config = tiny_config([one_flight(duration=4), one_flight(duration=4, start=None)])
-    env = prepare_environment(config)
     ground = elevation_at(config.terrain, 40.0, 60.0)
     carried = UavState(x=40.0, y=60.0, z=ground - 2.0, heading=0.5)
     with pytest.raises(MissionError) as err:
-        run_flight(FieldState.from_density(env.density), env, 1, carried, base_time=4.0)
+        run_flight(FieldState.from_density(config.density), config, 1, carried, base_time=4.0)
     assert str(err.value) == (
         f"flight 1: vehicle below ground at mission time 4 s, pose "
         f"(40.00, 60.00, {ground - 2.0:.2f}, heading 0.5000): terrain {ground:.2f}")
@@ -241,25 +250,24 @@ def test_split_flight_matches_single_flight():
 
 
 def test_target_tracker_support_and_reproducibility():
-    config = tiny_config([one_flight()])
-    env = prepare_environment(config)
-    tracker = TargetTracker(env.density, MonteCarloConfig(targets=200, seed=17))
-    again = TargetTracker(env.density, MonteCarloConfig(targets=200, seed=17))
-    other = TargetTracker(env.density, MonteCarloConfig(targets=200, seed=18))
+    density = tiny_config([one_flight()]).density
+    tracker = TargetTracker(density, MonteCarloConfig(targets=200, seed=17))
+    again = TargetTracker(density, MonteCarloConfig(targets=200, seed=17))
+    other = TargetTracker(density, MonteCarloConfig(targets=200, seed=18))
     np.testing.assert_array_equal(tracker.xs, again.xs)
     np.testing.assert_array_equal(tracker.thresholds, again.thresholds)
     assert not np.array_equal(tracker.xs, other.xs)
     # every target sits in a cell with positive initial density
-    assert np.all(env.density.values[tracker.rows, tracker.cols] > 0)
+    assert np.all(density.values[tracker.rows, tracker.cols] > 0)
     assert np.all(tracker.thresholds > 0)
     assert np.all(np.isnan(tracker.detect_times))
 
 
 def test_target_tracker_prefix_stable():
     # per-target substreams: extending the population keeps the prefix
-    env = prepare_environment(tiny_config([one_flight()]))
-    small = TargetTracker(env.density, MonteCarloConfig(targets=40, seed=23))
-    large = TargetTracker(env.density, MonteCarloConfig(targets=120, seed=23))
+    density = tiny_config([one_flight()]).density
+    small = TargetTracker(density, MonteCarloConfig(targets=40, seed=23))
+    large = TargetTracker(density, MonteCarloConfig(targets=120, seed=23))
     np.testing.assert_array_equal(large.xs[:40], small.xs)
     np.testing.assert_array_equal(large.ys[:40], small.ys)
     np.testing.assert_array_equal(large.thresholds[:40], small.thresholds)
@@ -274,14 +282,14 @@ def test_target_positions_follow_density_ratio():
 
 
 def test_tracker_interpolates_crossing_time():
-    env = prepare_environment(tiny_config([one_flight()]))
-    tracker = TargetTracker(env.density, MonteCarloConfig(targets=3, seed=1))
+    density = tiny_config([one_flight()]).density
+    tracker = TargetTracker(density, MonteCarloConfig(targets=3, seed=1))
     tracker.rows[:] = 5
     tracker.cols[:] = 7
     tracker.thresholds[:] = [1.0, 0.2, 10.0]
     tracker.detect_times[:] = np.nan
     tracker._prev[:] = 0.0
-    field = FieldState.from_density(env.density)
+    field = FieldState.from_density(density)
     field.coverage[5, 7] = 0.4
     tracker(1.0, field)   # below thresholds 1.0 and 10.0; crosses 0.2
     field.coverage[5, 7] = 1.6
@@ -329,19 +337,23 @@ def test_monte_carlo_seed_priority():
     assert MonteCarloConfig().seed == 0
 
 
-def test_monte_carlo_validate_prepares_once(monkeypatch):
-    # the environment built for the tracker is the one the mission flies
-    import uavsearch.mission as mission
+def test_monte_carlo_validate_prepares_once(monkeypatch, scenario_dir):
+    # loading a scenario prepares its mission once, through the module
+    # global that the benchmark's tracer wraps; validating it prepares
+    # nothing more, so the tracker samples the density the mission flies
+    prepare = mission.prepare_environment
     calls = []
 
     def counted(config):
-        calls.append(config)
-        return prepare_environment(config)
+        calls.append(config.mission_id)
+        prepare(config)
 
     monkeypatch.setattr(mission, "prepare_environment", counted)
-    config = tiny_config([one_flight(duration=3)])
+    config = load_scenario(scenario_dir / "mission3.json",
+                           overrides=["flights.0.duration_s=3"])
+    assert calls == ["mission3"]
     report = monte_carlo_validate(config, targets=20)
-    assert calls == [config]
+    assert calls == ["mission3"]
     np.testing.assert_array_equal(report.predicted, run_mission(config).eta)
 
 

@@ -8,9 +8,10 @@ import pytest
 from uavsearch import (CAMERA_PRESETS, UAV_PRESETS, CameraModel, ScenarioError,
                        apply_override, default_recall_table, load_recall_table,
                        load_scenario, recall_lookup, save_terrain)
+import uavsearch.mission as mission
 from uavsearch.cli import main
 
-from test_mission import tiny_terrain
+from test_mission import terrain_with_nodata, tiny_terrain
 
 BASE_SCENARIO = {
     "mission_id": "clitiny",
@@ -53,7 +54,7 @@ def test_load_scenario_round_trip(scenario_file):
     assert config.flights[0].start == (10.0, 10.0)
     assert config.monte_carlo.targets == 300
     assert config.terrain.ncols == tiny_terrain().ncols
-    assert config.uavs is None
+    assert config.uavs == {"M210": UAV_PRESETS["M210"]}  # the vehicles flown
     assert config.recall == default_recall_table()
 
 
@@ -173,10 +174,13 @@ def test_uav_and_camera_sections(scenario_file):
                               "yaw_rate_max_deg": 60.0,
                               "mpc_steps": 5, "mpc_horizon_s": 15.0}}
         d["cameras"] = {"X5S": {"x_image": 1000}}
+        d["flights"].append(dict(d["flights"][0], uav="Kite", start=None))
     config = load_scenario(scenario_file(mutate))
     assert config.uavs["M210"].v_h_max == 8.0
     assert config.uavs["M210"].v_z_max == 5.0  # untouched preset field
-    assert config.uavs["Kite"].mpc_steps == 5
+    kite = config.flights[1].uav
+    assert (kite.name, kite.mpc_steps, kite.v_h_min) == ("Kite", 5, 1.0)
+    assert config.uavs["Kite"] is kite
     assert config.flights[0].camera.x_image == 1000
     assert config.flights[0].camera.fov_short_deg > 0
 
@@ -348,16 +352,51 @@ def test_cli_validate_flag_checks(scenario_file, capsys):
     assert "monte_carlo: seed must be in [0, 2^63)" in capsys.readouterr().err
 
 
-def test_cli_runtime_error_exit(scenario_file, tmp_path, capsys):
-    # a bad value fails at load with exit 2 ...
+def test_cli_runtime_error_exit(scenario_file, tmp_path, capsys, monkeypatch):
+    # a bad value fails at load with exit 2 (the flight-domain checks
+    # too, test_cli_flight_domain_checks_exit_two) ...
     path = scenario_file(lambda d: d["flights"][0].update(min_altitude=30))
     assert main(["simulate", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "flights.0: altitudes must satisfy 35 <= min <= goal" in capsys.readouterr().err
-    # ... a start that parses fine but lies outside the flight domain
-    # fails when the mission environment is built, as a run failure
-    path = scenario_file(lambda d: d["flights"][0].update(start=[5000, 5000]))
-    assert main(["simulate", str(path), "--out", str(tmp_path / "y")]) == 1
-    assert "flight 0: start (5000, 5000) outside the flight domain" in capsys.readouterr().err
+    # ... and only a failure during a flight exits 1: here the vehicle
+    # drops below ground on its first kinematic step
+    step = mission.kinematic_step
+    monkeypatch.setattr(mission, "kinematic_step",
+                        lambda *args: replace(step(*args), z=-100.0))
+    assert main(["simulate", str(scenario_file()), "--out", str(tmp_path / "y")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "uavsearch: error: flight 0: vehicle below ground at mission time 0.5 s")
+
+
+def _holed_terrain(d, tmp_path):
+    save_terrain(terrain_with_nodata(100.0, 100.0), tmp_path / "holed.asc")
+    d["terrain"] = "holed.asc"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d, tmp_path: d.update(offset=500.0),
+     "terrain: does not cover the flight domain: domain rectangle (-500, -500)..(700, 700) "
+     "vs terrain extent (-65, -65)..(345, 345)"),
+    (_holed_terrain, "terrain: cell (row 17, col 17) at (105, 105) is nodata under the "
+                     "flight domain (-50, -50)..(250, 250)"),
+    (lambda d, tmp_path: d["flights"].append(dict(d["flights"][0], start=[5000, 10])),
+     "flights.1.start: (5000, 10) outside the flight domain (-50, -50)..(250, 250)"),
+    (lambda d, tmp_path: d.update(uavs={"M210": {"mpc_horizon_s": 14.0}}),
+     "flights.0.uav: vehicle 'M210': replan period 2.8 s must be a whole multiple of 1 s"),
+    (lambda d, tmp_path: d.update(uavs={"M210": {"incline_min_deg": 0.0, "incline_max_deg": 0.0,
+                                                 "v_z_min": 1.0}}),
+     "flights.0.uav: vehicle 'M210': control lattice has no point inside the velocity bounds"),
+], ids=["terrain-cover", "terrain-nodata", "start-outside", "replan-period", "lattice"])
+def test_cli_flight_domain_checks_exit_two(scenario_file, tmp_path, capsys, mutate, message):
+    # the checks that need the built flight domain run at load too
+    path = scenario_file(lambda d: mutate(d, tmp_path))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert str(err.value) == message
+    out = tmp_path / "run"
+    assert main(["simulate", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"uavsearch: error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_usage_error_exits_two(capsys):
@@ -491,6 +530,16 @@ def test_cli_recall_table_with_a_gap_exits_two(scenario_file, tmp_path, capsys):
                  "--set", f"recall_table={out}"]) == 2
     assert capsys.readouterr().err.endswith(
         f"recall_table: {out}: line 3: no recall bin covers [1.0, 1.5)\n")
+
+
+@pytest.mark.parametrize("width", ["inf", "nan"])
+def test_cli_recall_non_finite_bin_width_exits_two(tmp_path, capsys, width):
+    out = tmp_path / "bins.csv"
+    assert main([*_write_binned_inputs(tmp_path, [0.6]), "--bin-width", width,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"uavsearch: error: bin width must be finite and positive, got {width}\n")
+    assert not out.exists()
 
 
 def test_cli_recall_input_errors(tmp_path, capsys):

@@ -132,6 +132,9 @@ def test_gsd_bin_edges():
         gsd_bin(-0.1)
     with pytest.raises(TilingError):
         gsd_bin(1.0, bin_width=0.0)
+    for width in (float("inf"), float("nan")):
+        with pytest.raises(TilingError, match="bin width must be finite and positive"):
+            gsd_bin(1.0, bin_width=width)
 
 
 def det(truth, conf, jitter=0.0, category=None):
