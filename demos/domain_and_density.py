@@ -27,13 +27,13 @@ for index, zone in enumerate(zones):
     cells = int(np.sum(membership == index))
     print(f"  zone {zone.zone_id}: {cells} cells, {zone.person_count} persons")
 
-total = sum(z.person_count for z in zones)
-density = build_initial_density(zones, grid, total)
+density = build_initial_density(zones, grid)
 mass = density.values.sum() * grid.cell_area
 print(f"\ndensity integrates to {mass:.12f}")
 print(f"peak cell probability density: {density.values.max():.3e} per m^2")
 
 # the zone with more persons holds proportionally more mass
+total = sum(z.person_count for z in zones)
 for index, zone in enumerate(zones):
     share = density.values[membership == index].sum() * grid.cell_area
     print(f"  mass in {zone.zone_id}: {share:.4f} "

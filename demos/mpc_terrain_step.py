@@ -15,13 +15,13 @@ cell = 10.0
 n = 80
 elev = np.zeros((n, n))
 elev[:, 45:] = 60.0          # a 60 m step ridge east of x = 450
-terrain = TerrainGrid(ncols=n, nrows=n, xllcorner=0.0, yllcorner=0.0,
+terrain = TerrainGrid(ncols=n, nrows=n, x_origin=0.0, y_origin=0.0,
                       cell_size=cell, nodata=-9999.0, elevations=elev)
 
 # 35 m hard clearance floor, 55 m goal height above the ground; the
 # altitude references may look anywhere on the terrain
 planner = Planner(UAV_PRESETS["M210"], MpcConfig(), min_clearance=35.0, goal_clearance=55.0,
-                  bounds=terrain.extent)
+                  bounds=terrain.hull)
 
 for x in (100.0, 330.0, 390.0):
     state = UavState(x=x, y=400.0, z=55.0, heading=0.0, v_h=10.0, v_z=0.0, t=0.0)

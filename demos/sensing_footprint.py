@@ -25,7 +25,7 @@ for name, camera in sorted(CAMERA_PRESETS.items()):
 # flat world for the footprint plot
 cell = 5.0
 n = 60
-terrain = TerrainGrid(ncols=n, nrows=n, xllcorner=0.0, yllcorner=0.0,
+terrain = TerrainGrid(ncols=n, nrows=n, x_origin=0.0, y_origin=0.0,
                       cell_size=cell, nodata=-9999.0, elevations=np.zeros((n, n)))
 grid = GridSpec(x_origin=0.0, y_origin=0.0, cell_size=cell, ncols=n, nrows=n)
 density = DensityGrid(grid=grid, values=np.full(grid.shape, 1.0))

@@ -12,7 +12,7 @@ from uavsearch import elevation_at, line_of_sight, load_terrain
 
 terrain = load_terrain(Path(__file__).resolve().parents[1] / "scenarios" / "terrain.asc")
 print(f"grid: {terrain.ncols} x {terrain.nrows} cells of {terrain.cell_size:g} m")
-xmin, xmax, ymin, ymax = terrain.extent
+xmin, xmax, ymin, ymax = terrain.hull
 print(f"extent: x [{xmin:g}, {xmax:g}], y [{ymin:g}, {ymax:g}]")
 print(f"elevation range: {terrain.elevations.min():.1f} to "
       f"{terrain.elevations.max():.1f} m")

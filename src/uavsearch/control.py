@@ -379,7 +379,7 @@ class Planner:
 
         # Window of terrain cells around the vehicle, as wide as the last disc.
         radii = self._disc_reach + 0.75 * grid.cell_size
-        rows, cols = grid.cells.window(state.x, state.y, radii[-1])
+        rows, cols = grid.window(state.x, state.y, radii[-1])
         block = grid.elevations[rows, cols]
         dist = np.hypot(grid.x_centers[cols] - state.x, (grid.y_centers[rows] - state.y)[:, None])
         if grid.has_nodata:

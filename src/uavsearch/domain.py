@@ -30,8 +30,9 @@ class GridSpec:
     Cell (row, col) has its center at origin + (col + 0.5, row + 0.5) * cell_size,
     row 0 being the southernmost row. Value arrays over this grid use
     shape (nrows, ncols). x_centers and y_centers, the read-only
-    cell-center coordinates along each axis, are derived once at
-    construction.
+    cell-center coordinates along each axis, and hull, the cell-center
+    hull (xmin, xmax, ymin, ymax) over which bilinear queries need no
+    clamping, are derived once at construction.
     """
 
     x_origin: float
@@ -41,6 +42,7 @@ class GridSpec:
     nrows: int
     x_centers: np.ndarray = field(init=False, repr=False, compare=False)
     y_centers: np.ndarray = field(init=False, repr=False, compare=False)
+    hull: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cell_size > 0:
@@ -52,6 +54,9 @@ class GridSpec:
             centers = origin + (np.arange(count) + 0.5) * self.cell_size
             centers.flags.writeable = False
             object.__setattr__(self, name, centers)
+        x0, y0, h = float(self.x_origin), float(self.y_origin), float(self.cell_size)
+        object.__setattr__(self, "hull", (x0 + 0.5 * h, x0 + (self.ncols - 0.5) * h,
+                                          y0 + 0.5 * h, y0 + (self.nrows - 0.5) * h))
 
     @property
     def cell_area(self) -> float:
@@ -86,14 +91,18 @@ class GridSpec:
         return (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
 
     def contains(self, x, y) -> np.ndarray:
-        xmin, xmax, ymin, ymax = self.rect
-        return (np.asarray(x) >= xmin) & (np.asarray(x) <= xmax) \
-            & (np.asarray(y) >= ymin) & (np.asarray(y) <= ymax)
+        """Whether (x, y) lies in the outer rectangle."""
+        return _inside(self.rect, x, y)
+
+    def in_hull(self, x, y) -> np.ndarray:
+        """Whether (x, y) lies in the cell-center hull."""
+        return _inside(self.hull, x, y)
 
     def cell_index(self, x: float, y: float) -> tuple[int, int]:
         """(row, col) of the cell containing (x, y); points on the outer
         east/north edge map to the last cell."""
-        if not bool(self.contains(x, y)):
+        xmin, xmax, ymin, ymax = self.rect
+        if not (xmin <= x <= xmax and ymin <= y <= ymax):
             raise DomainError(f"point ({x:g}, {y:g}) outside grid rectangle {self.rect}")
         col = min(int((x - self.x_origin) / self.cell_size), self.ncols - 1)
         row = min(int((y - self.y_origin) / self.cell_size), self.nrows - 1)
@@ -111,6 +120,13 @@ class GridSpec:
     def center_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell-center coordinate arrays of shape (nrows, ncols)."""
         return np.meshgrid(self.x_centers, self.y_centers)
+
+
+def _inside(box, x, y) -> np.ndarray:
+    """Whether (x, y) lies in the closed box (xmin, xmax, ymin, ymax)."""
+    xmin, xmax, ymin, ymax = box
+    x, y = np.asarray(x), np.asarray(y)
+    return (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -264,22 +280,19 @@ def zone_membership(zones, grid: GridSpec) -> np.ndarray:
     return owner
 
 
-def build_initial_density(zones, grid: GridSpec, total_people: int) -> DensityGrid:
+def build_initial_density(zones, grid: GridSpec) -> DensityGrid:
     """Initial probability density of an undetected person per cell.
 
-    Each zone receives person_count / total_people of the mass, spread
-    uniformly over the cells whose centers fall inside its polygon. The
-    discretized zone area (cell count times cell area) is used as the
-    denominator, so the returned density integrates to exactly one.
+    Each zone receives its share of the zones' total person_count,
+    spread uniformly over the cells whose centers fall inside its
+    polygon. The discretized zone area (cell count times cell area) is
+    used as the denominator, so the returned density integrates to
+    exactly one.
     """
     zones = tuple(zones)
-    if total_people != sum(z.person_count for z in zones):
-        raise DomainError(
-            f"total_people={total_people} does not match the zone sum "
-            f"{sum(z.person_count for z in zones)}"
-        )
+    total_people = sum(z.person_count for z in zones)
     if total_people <= 0:
-        raise DomainError("total_people must be positive")
+        raise DomainError("zones must hold at least one person")
     owner = zone_membership(zones, grid)
     values = np.zeros(grid.shape, dtype=float)
     for zi, zone in enumerate(zones):
@@ -302,12 +315,9 @@ def _bilinear_support(grid: GridSpec, x, y):
     Clamps are np.minimum of np.maximum, which np.clip equals, without
     its call overhead on the scalar and small queries of every step.
     """
-    x0 = grid.x_origin + 0.5 * grid.cell_size
-    y0 = grid.y_origin + 0.5 * grid.cell_size
-    xs = np.minimum(np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), x0),
-                    grid.x_origin + (grid.ncols - 0.5) * grid.cell_size)
-    ys = np.minimum(np.maximum(np.atleast_1d(np.asarray(y, dtype=float)), y0),
-                    grid.y_origin + (grid.nrows - 0.5) * grid.cell_size)
+    x0, x1, y0, y1 = grid.hull
+    xs = np.minimum(np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), x0), x1)
+    ys = np.minimum(np.maximum(np.atleast_1d(np.asarray(y, dtype=float)), y0), y1)
     fx = (xs - x0) / grid.cell_size
     fy = (ys - y0) / grid.cell_size
     i0 = np.minimum(np.maximum(np.floor(fx).astype(int), 0), max(grid.ncols - 2, 0))
@@ -325,10 +335,9 @@ def _bilinear_point(grid: GridSpec, x: float, y: float):
     without numpy's per-call overhead on the scalar queries of every
     step."""
     h = float(grid.cell_size)
-    x0 = float(grid.x_origin) + 0.5 * h
-    y0 = float(grid.y_origin) + 0.5 * h
-    fx = (min(max(x, x0), float(grid.x_origin) + (grid.ncols - 0.5) * h) - x0) / h
-    fy = (min(max(y, y0), float(grid.y_origin) + (grid.nrows - 0.5) * h) - y0) / h
+    x0, x1, y0, y1 = grid.hull
+    fx = (min(max(x, x0), x1) - x0) / h
+    fy = (min(max(y, y0), y1) - y0) / h
     i0 = min(max(math.floor(fx), 0), max(grid.ncols - 2, 0))
     j0 = min(max(math.floor(fy), 0), max(grid.nrows - 2, 0))
     return (j0, min(j0 + 1, grid.nrows - 1), i0, min(i0 + 1, grid.ncols - 1),

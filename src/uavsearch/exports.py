@@ -11,6 +11,7 @@ byte across reruns.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,11 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     Path(path).write_text(csv_text(header, rows))
 
 
+def _grid_geometry(grid: GridSpec) -> dict:
+    """The GridSpec fields that define grid, by name."""
+    return {f.name: getattr(grid, f.name) for f in fields(GridSpec) if f.init}
+
+
 def write_grid_pgm(grid: GridSpec, values: np.ndarray, path: Path,
                    maxval: int = 65535) -> None:
     """ASCII PGM (P2) of a cell grid, north row first, plus a JSON
@@ -61,12 +67,8 @@ def write_grid_pgm(grid: GridSpec, values: np.ndarray, path: Path,
     lines = ["P2", f"{grid.ncols} {grid.nrows}", str(maxval)]
     lines.extend(" ".join(str(v) for v in row) for row in top_first)
     path.write_text("\n".join(lines) + "\n")
-    sidecar = {
-        "x_origin": grid.x_origin, "y_origin": grid.y_origin,
-        "cell_size": grid.cell_size, "ncols": grid.ncols, "nrows": grid.nrows,
-        "value_peak": peak, "maxval": maxval,
-        "row_order": "north_first",
-    }
+    sidecar = {**_grid_geometry(grid), "value_peak": peak, "maxval": maxval,
+               "row_order": "north_first"}
     path.with_suffix(".json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
@@ -86,7 +88,6 @@ def _flight_summary(log: FlightLog) -> dict:
 
 
 def mission_summary(report: MissionReport) -> dict:
-    grid = report.field.grid
     return {
         "mission_id": report.mission_id,
         "final_accomplishment": report.final_eta,
@@ -94,13 +95,7 @@ def mission_summary(report: MissionReport) -> dict:
         "flights": [_flight_summary(log) for log in report.logs],
         "violations": report.violations,
         "clamp_events": report.clamp_events,
-        "domain": {
-            "x_origin": grid.x_origin,
-            "y_origin": grid.y_origin,
-            "cell_size": grid.cell_size,
-            "ncols": grid.ncols,
-            "nrows": grid.nrows,
-        },
+        "domain": _grid_geometry(report.field.grid),
     }
 
 

@@ -250,7 +250,7 @@ def prepare_environment(config: MissionConfig) -> None:
     terrain with no nodata under it.
     """
     grid = build_flight_domain(config.zones, config.offset, config.cell_size)
-    xmin, xmax, ymin, ymax = config.terrain.extent
+    xmin, xmax, ymin, ymax = config.terrain.hull
     gx0, gx1, gy0, gy1 = grid.rect
     if gx0 < xmin or gx1 > xmax or gy0 < ymin or gy1 > ymax:
         raise MissionError(
@@ -265,10 +265,7 @@ def prepare_environment(config: MissionConfig) -> None:
             f"terrain: cell (row {row}, col {col}) at ({config.terrain.x_centers[col]:g}, "
             f"{config.terrain.y_centers[row]:g}) is nodata under the flight domain "
             f"({gx0:g}, {gy0:g})..({gx1:g}, {gy1:g})")
-    total_people = sum(z.person_count for z in config.zones)
-    density = build_initial_density(config.zones, grid, total_people)
-    half = 0.5 * grid.cell_size
-    hull = (gx0 + half, gx1 - half, gy0 + half, gy1 - half)
+    density = build_initial_density(config.zones, grid)
 
     setups = []
     for idx, flight in enumerate(config.flights):
@@ -278,7 +275,7 @@ def prepare_environment(config: MissionConfig) -> None:
         replan = _replan_period(flight.uav, where)
         try:
             planner = Planner(flight.uav, config.mpc, flight.min_altitude,
-                              flight.goal_altitude, hull)
+                              flight.goal_altitude, grid.hull)
         except MpcInfeasibleError as exc:
             raise MpcInfeasibleError(f"{where}: {exc}") from exc
         setups.append(FlightSetup(planner=planner, replan=replan, start=start))

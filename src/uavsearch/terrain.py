@@ -5,8 +5,9 @@ cell (row, col) is the ground elevation at that cell's center point.
 Internally row 0 is the southernmost row (y grows with the row index);
 the ASCII grid file format stores the top row first and is flipped on
 load. Queries interpolate bilinearly between the four surrounding cell
-centers, so the queryable extent is the hull of the center points, half
-a cell smaller than the file's outer footprint on each side.
+centers, so only points in the grid's cell-center hull can be queried:
+the hull is half a cell smaller than the file's outer footprint on each
+side.
 """
 
 from __future__ import annotations
@@ -24,38 +25,34 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_
 
 
 @dataclass(frozen=True)
-class TerrainGrid:
-    """A cell-centered elevation grid.
+class TerrainGrid(GridSpec):
+    """A cell-centered elevation grid: a GridSpec with an elevation per cell.
 
     elevations has shape (nrows, ncols) with row 0 at the south edge.
     Cells equal to nodata are carried through loading but any query
-    whose bilinear support touches one raises TerrainError.
+    whose bilinear support touches one raises TerrainError, as does a
+    query outside the cell-center hull (in_hull); the inherited contains
+    tests the outer rectangle, half a cell wider on each side.
     min_elevation is the lowest valid elevation (inf when no cell is
-    valid), has_nodata whether any cell holds nodata, and cells the
-    GridSpec of the same cells, all derived once at construction. The
-    grid is frozen and keeps a read-only copy of elevations, so the
-    derived fields cannot go stale.
+    valid) and has_nodata whether any cell holds nodata, both derived
+    once at construction. The grid is frozen and keeps a read-only copy
+    of elevations, so the derived fields cannot go stale.
     """
 
-    ncols: int
-    nrows: int
-    xllcorner: float
-    yllcorner: float
-    cell_size: float
     nodata: float
     elevations: np.ndarray
     min_elevation: float = field(init=False, repr=False, compare=False)
     has_nodata: bool = field(init=False, repr=False, compare=False)
-    cells: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ncols < 2 or self.nrows < 2:
             raise TerrainError("terrain grid needs at least 2x2 cells")
         if not self.cell_size > 0:
             raise TerrainError("terrain cell size must be positive")
+        super().__post_init__()
         elevations = np.array(self.elevations, dtype=float)
         elevations.flags.writeable = False
-        if elevations.shape != (self.nrows, self.ncols):
+        if elevations.shape != self.shape:
             raise TerrainError(
                 f"elevation array shape {elevations.shape} does not match "
                 f"nrows={self.nrows}, ncols={self.ncols}"
@@ -66,33 +63,6 @@ class TerrainGrid:
         object.__setattr__(self, "elevations", elevations)
         object.__setattr__(self, "min_elevation", float(data.min()) if data.size else math.inf)
         object.__setattr__(self, "has_nodata", data.size < elevations.size)
-        object.__setattr__(self, "cells", GridSpec(
-            x_origin=self.xllcorner, y_origin=self.yllcorner, cell_size=self.cell_size,
-            ncols=self.ncols, nrows=self.nrows))
-
-    @property
-    def x_centers(self) -> np.ndarray:
-        return self.cells.x_centers
-
-    @property
-    def y_centers(self) -> np.ndarray:
-        return self.cells.y_centers
-
-    @property
-    def extent(self) -> tuple[float, float, float, float]:
-        """Queryable extent (xmin, xmax, ymin, ymax): the cell-center hull."""
-        half = 0.5 * self.cell_size
-        return (
-            self.xllcorner + half,
-            self.xllcorner + (self.ncols - 0.5) * self.cell_size,
-            self.yllcorner + half,
-            self.yllcorner + (self.nrows - 0.5) * self.cell_size,
-        )
-
-    def contains(self, x, y) -> np.ndarray:
-        xmin, xmax, ymin, ymax = self.extent
-        return (np.asarray(x) >= xmin) & (np.asarray(x) <= xmax) \
-            & (np.asarray(y) >= ymin) & (np.asarray(y) <= ymax)
 
 
 def load_terrain(path) -> TerrainGrid:
@@ -153,8 +123,8 @@ def load_terrain(path) -> TerrainGrid:
     return TerrainGrid(
         ncols=ncols,
         nrows=nrows,
-        xllcorner=header["xllcorner"],
-        yllcorner=header["yllcorner"],
+        x_origin=header["xllcorner"],
+        y_origin=header["yllcorner"],
         cell_size=header["cellsize"],
         nodata=header["nodata_value"],
         elevations=elevations,
@@ -166,8 +136,8 @@ def save_terrain(grid: TerrainGrid, path, fmt: str = "%.2f") -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
-        fh.write(f"xllcorner {grid.xllcorner:.6g}\n")
-        fh.write(f"yllcorner {grid.yllcorner:.6g}\n")
+        fh.write(f"xllcorner {grid.x_origin:.6g}\n")
+        fh.write(f"yllcorner {grid.y_origin:.6g}\n")
         fh.write(f"cellsize {grid.cell_size:.6g}\n")
         fh.write(f"NODATA_value {grid.nodata:.6g}\n")
         for row in np.flipud(grid.elevations):
@@ -178,24 +148,24 @@ def save_terrain(grid: TerrainGrid, path, fmt: str = "%.2f") -> None:
 def first_nodata_under(grid: TerrainGrid, rect) -> tuple[int, int] | None:
     """(row, col) of the first nodata cell that supports a query inside
     rect (xmin, xmax, ymin, ymax), or None when there is none."""
-    j0, j1, i0, i1, _, _ = _bilinear_support(grid.cells, np.array(rect[:2]), np.array(rect[2:]))
+    j0, j1, i0, i1, _, _ = _bilinear_support(grid, np.array(rect[:2]), np.array(rect[2:]))
     bad = np.argwhere(grid.elevations[j0[0]:j1[1] + 1, i0[0]:i1[1] + 1] == grid.nodata)
     return (int(bad[0][0] + j0[0]), int(bad[0][1] + i0[0])) if bad.size else None
 
 
 def _check_inside(grid: TerrainGrid, x: np.ndarray, y: np.ndarray) -> None:
-    inside = grid.contains(x, y)
+    inside = grid.in_hull(x, y)
     if not np.all(inside):
         bad = np.argwhere(~inside)[0]
         raise TerrainError(
             f"query point ({x[tuple(bad)]:g}, {y[tuple(bad)]:g}) outside terrain extent "
-            f"{grid.extent}"
+            f"{grid.hull}"
         )
 
 
 def _interpolate(grid: TerrainGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bilinear ground at points already checked to lie inside the hull."""
-    j0, j1, i0, i1, tx, ty = _bilinear_support(grid.cells, x, y)
+    j0, j1, i0, i1, tx, ty = _bilinear_support(grid, x, y)
     e = grid.elevations
     corners = (e[j0, i0], e[j0, i1], e[j1, i0], e[j1, i1])
     if grid.has_nodata and any(np.any(z == grid.nodata) for z in corners):
@@ -223,7 +193,7 @@ def ground_at(grid: TerrainGrid, x: float, y: float) -> float:
     cell-center hull, in plain floats: the same support and blend, so
     the same float, without numpy's per-call overhead. A nodata corner
     still raises TerrainError."""
-    j0, j1, i0, i1, tx, ty = _bilinear_point(grid.cells, x, y)
+    j0, j1, i0, i1, tx, ty = _bilinear_point(grid, x, y)
     e = grid.elevations
     corners = (e.item(j0, i0), e.item(j0, i1), e.item(j1, i0), e.item(j1, i1))
     if grid.has_nodata and grid.nodata in corners:

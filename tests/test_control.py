@@ -17,12 +17,12 @@ MAVIC = UAV_PRESETS["Mavic2ED"]
 
 
 def flat_terrain(value=0.0, ncols=80, nrows=80, cell=10.0, x0=-200.0, y0=-200.0):
-    return TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=x0, yllcorner=y0,
+    return TerrainGrid(ncols=ncols, nrows=nrows, x_origin=x0, y_origin=y0,
                        cell_size=cell, nodata=-9999.0,
                        elevations=np.full((nrows, ncols), value))
 
 
-FLAT = flat_terrain().extent  # the planner box of every flat-terrain test
+FLAT = flat_terrain().hull  # the planner box of every flat-terrain test
 
 
 def test_wrap_angle():
@@ -222,7 +222,7 @@ def test_mpc_climbs_before_a_wall():
     grid = flat_terrain(0.0)
     elev = grid.elevations.copy()
     elev[:, 22:] = 40.0  # ground step 25 m ahead, inside the first disc
-    wall = TerrainGrid(ncols=80, nrows=80, xllcorner=-200.0, yllcorner=-200.0,
+    wall = TerrainGrid(ncols=80, nrows=80, x_origin=-200.0, y_origin=-200.0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     config = MpcConfig()
     state = UavState(x=0.0, y=0.0, z=55.0, heading=0.0, v_h=10.0, v_z=0.0)
@@ -333,11 +333,11 @@ def hilly_terrain(rng):
         width = rng.uniform(40, 120)
         height = rng.uniform(-20, 35)
         elev += height * np.exp(-(((X - cx) ** 2 + (Y - cy) ** 2) / width ** 2))
-    return TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=0.0, yllcorner=0.0,
+    return TerrainGrid(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0,
                        cell_size=cell, nodata=-9999.0, elevations=elev)
 
 
-HILLY = hilly_terrain(np.random.default_rng(0)).extent  # the same for every rng
+HILLY = hilly_terrain(np.random.default_rng(0)).hull  # the same for every rng
 
 
 # variant with skewed acceleration bounds: its predecessor sets are not
@@ -404,7 +404,7 @@ def reference_stages(planner, state, heading, grid):
     limits, dt = planner.limits, planner.dt
     steps = limits.mpc_steps
     radii = np.arange(1, steps + 1) * dt * limits.v_h_max + 0.75 * grid.cell_size
-    rows, cols = grid.cells.window(state.x, state.y, radii[-1])
+    rows, cols = grid.window(state.x, state.y, radii[-1])
     block = grid.elevations[rows, cols]
     bx, by = np.meshgrid(grid.x_centers[cols], grid.y_centers[rows])
     dist = np.where(block == grid.nodata, np.inf, np.hypot(bx - state.x, by - state.y))
@@ -416,7 +416,7 @@ def reference_stages(planner, state, heading, grid):
     ramp = np.array([ramp_displacement(state.v_z, float(v), limits.a_v_min,
                                        limits.a_v_max, dt) for v in planner.v_z])
     reachable = state.z + float(ramp.max()) + np.arange(steps) * limits.v_z_max * dt
-    xmin, xmax, ymin, ymax = grid.extent
+    xmin, xmax, ymin, ymax = grid.hull
     v_nominal = min(max(state.v_h, 0.0), limits.v_h_max)
     k = np.arange(1, steps + 1)
     px = np.clip(state.x + math.cos(heading) * k * dt * v_nominal, xmin, xmax)

@@ -153,14 +153,14 @@ def test_initial_density_masses_and_integral():
     a = Zone("a", SQUARE, 30)               # 4 cells at cell 5
     b = Zone("b", SQUARE + [20.0, 0.0], 10)  # 4 cells
     g = GridSpec(x_origin=0.0, y_origin=0.0, cell_size=5.0, ncols=6, nrows=2)
-    density = build_initial_density([a, b], g, total_people=40)
+    density = build_initial_density([a, b], g)
     assert density.integral() == pytest.approx(1.0, abs=1e-12)
     # zone a holds 3/4 of the mass over 4 cells of 25 m^2
     assert density.values[0, 0] == pytest.approx(0.75 / (4 * 25.0))
     assert density.values[0, 4] == pytest.approx(0.25 / (4 * 25.0))
     assert density.values[0, 2] == 0.0
-    with pytest.raises(DomainError):
-        build_initial_density([a, b], g, total_people=41)
+    with pytest.raises(DomainError, match="zones must hold at least one person"):
+        build_initial_density([Zone("a", SQUARE, 0)], g)
 
 
 def test_initial_density_concave_zone_value():
@@ -170,7 +170,7 @@ def test_initial_density_concave_zone_value():
     other = Zone("far", SQUARE + [900.0, 300.0], 53)
     grid = GridSpec(x_origin=-50.0, y_origin=-50.0, cell_size=10.0,
                     ncols=110, nrows=75)
-    density = build_initial_density([zone, other], grid, total_people=78)
+    density = build_initial_density([zone, other], grid)
     owner = zone_membership([zone, other], grid)
     assert int((owner == 0).sum()) == 4327
     value = density.values[owner == 0]
@@ -187,7 +187,7 @@ def test_density_requires_cell_coverage():
     tiny = Zone("tiny", np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]), 3)
     g = GridSpec(x_origin=-50.0, y_origin=-50.0, cell_size=10.0, ncols=10, nrows=10)
     with pytest.raises(DomainError) as err:
-        build_initial_density([tiny], g, total_people=3)
+        build_initial_density([tiny], g)
     assert "tiny" in str(err.value)
 
 

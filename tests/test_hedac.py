@@ -125,7 +125,7 @@ def test_one_shot_solve_updates_state():
 
 
 def flat_terrain():
-    return TerrainGrid(ncols=30, nrows=30, xllcorner=-100.0, yllcorner=-100.0,
+    return TerrainGrid(ncols=30, nrows=30, x_origin=-100.0, y_origin=-100.0,
                        cell_size=10.0, nodata=-9999.0,
                        elevations=np.zeros((30, 30)))
 

@@ -22,7 +22,7 @@ def tiny_terrain():
     X, Y = np.meshgrid(X0 + (np.arange(NCOLS) + 0.5) * CELL,
                        Y0 + (np.arange(NROWS) + 0.5) * CELL)
     elev = 8.0 + 8.0 * np.sin(X / 60.0) * np.cos(Y / 45.0)
-    return TerrainGrid(ncols=NCOLS, nrows=NROWS, xllcorner=X0, yllcorner=Y0,
+    return TerrainGrid(ncols=NCOLS, nrows=NROWS, x_origin=X0, y_origin=Y0,
                        cell_size=CELL, nodata=-9999.0, elevations=elev)
 
 

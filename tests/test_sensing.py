@@ -18,7 +18,7 @@ PACKAGED_RECALLS = [0.95, 0.977, 0.956, 0.953, 0.897, 0.881,
 
 
 def flat_grid(value=0.0, ncols=60, nrows=60, cell=10.0, x0=-300.0, y0=-300.0):
-    return TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=x0, yllcorner=y0,
+    return TerrainGrid(ncols=ncols, nrows=nrows, x_origin=x0, y_origin=y0,
                        cell_size=cell, nodata=-9999.0,
                        elevations=np.full((nrows, ncols), value))
 
@@ -213,7 +213,7 @@ def test_detection_rate_uses_height_above_target_point():
     # pedestal under the camera only (single cell block far from target)
     rows, cols = np.meshgrid(range(18, 22), range(18, 22), indexing="ij")
     elev[rows, cols] = 40.0
-    bumpy = TerrainGrid(ncols=40, nrows=40, xllcorner=-200.0, yllcorner=-200.0,
+    bumpy = TerrainGrid(ncols=40, nrows=40, x_origin=-200.0, y_origin=-200.0,
                         cell_size=10.0, nodata=-9999.0, elevations=elev)
     cam = CAMERA_PRESETS["MavicBuiltin"]  # wide fov, target stays in frustum
     table = default_recall_table()
@@ -232,7 +232,7 @@ def test_detection_rate_occlusion():
     grid = flat_grid(0.0, ncols=40, nrows=10, cell=10.0, x0=0.0, y0=0.0)
     elev = grid.elevations.copy()
     elev[:, 15] = 60.0  # wall between camera and target
-    wall = TerrainGrid(ncols=40, nrows=10, xllcorner=0.0, yllcorner=0.0,
+    wall = TerrainGrid(ncols=40, nrows=10, x_origin=0.0, y_origin=0.0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     # wide frustum and a fine sensor so recall stays positive at depth
     cam = CameraModel("wide", fov_short_deg=100.0, fov_long_deg=120.0,
@@ -264,7 +264,7 @@ def test_footprint_matches_scalar_rate():
     occluded = 0
     for elev, seed, heights in ((smooth, 21, (60, 140)), (ridge, 22, (120, 200))):
         rng = np.random.default_rng(seed)
-        grid = TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=0.0, yllcorner=0.0,
+        grid = TerrainGrid(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0,
                            cell_size=cell, nodata=-9999.0, elevations=elev)
         ground = ground_under(grid, cells)
         for cam in CAMERA_PRESETS.values():
@@ -277,7 +277,7 @@ def test_footprint_matches_scalar_rate():
                 full[rows, cols] = rates
                 for r in range(nrows):
                     for c in range(ncols):
-                        if not grid.contains(xs[r, c], ys[r, c]):
+                        if not grid.in_hull(xs[r, c], ys[r, c]):
                             continue
                         want = detection_rate(pose, (xs[r, c], ys[r, c]),
                                               cam, grid, table, params)

@@ -9,7 +9,7 @@ from uavsearch import (GridSpec, TerrainError, TerrainGrid, bilinear_on_grid, cl
 
 
 def flat_grid(value=100.0, ncols=12, nrows=10, cell=10.0, x0=0.0, y0=0.0):
-    return TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=x0, yllcorner=y0,
+    return TerrainGrid(ncols=ncols, nrows=nrows, x_origin=x0, y_origin=y0,
                        cell_size=cell, nodata=-9999.0,
                        elevations=np.full((nrows, ncols), value))
 
@@ -17,47 +17,61 @@ def flat_grid(value=100.0, ncols=12, nrows=10, cell=10.0, x0=0.0, y0=0.0):
 def linear_grid(a=50.0, bx=0.3, by=-0.2, ncols=15, nrows=12, cell=5.0):
     grid = flat_grid(0.0, ncols, nrows, cell)
     X, Y = np.meshgrid(grid.x_centers, grid.y_centers)
-    return TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=0.0, yllcorner=0.0,
+    return TerrainGrid(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0,
                        cell_size=cell, nodata=-9999.0,
                        elevations=a + bx * X + by * Y)
 
 
 def test_grid_validation():
     with pytest.raises(TerrainError):
-        TerrainGrid(ncols=1, nrows=5, xllcorner=0, yllcorner=0, cell_size=10,
+        TerrainGrid(ncols=1, nrows=5, x_origin=0, y_origin=0, cell_size=10,
                     nodata=-9999.0, elevations=np.zeros((5, 1)))
     with pytest.raises(TerrainError):
-        TerrainGrid(ncols=3, nrows=3, xllcorner=0, yllcorner=0, cell_size=-1,
+        TerrainGrid(ncols=3, nrows=3, x_origin=0, y_origin=0, cell_size=-1,
                     nodata=-9999.0, elevations=np.zeros((3, 3)))
     with pytest.raises(TerrainError):
-        TerrainGrid(ncols=3, nrows=3, xllcorner=0, yllcorner=0, cell_size=10,
+        TerrainGrid(ncols=3, nrows=3, x_origin=0, y_origin=0, cell_size=10,
                     nodata=-9999.0, elevations=np.zeros((4, 3)))
     bad = np.zeros((3, 3))
     bad[1, 1] = np.nan
     with pytest.raises(TerrainError):
-        TerrainGrid(ncols=3, nrows=3, xllcorner=0, yllcorner=0, cell_size=10,
+        TerrainGrid(ncols=3, nrows=3, x_origin=0, y_origin=0, cell_size=10,
                     nodata=-9999.0, elevations=bad)
 
 
 def test_extent_is_cell_center_hull():
     grid = flat_grid(ncols=4, nrows=3, cell=10.0, x0=100.0, y0=200.0)
-    xmin, xmax, ymin, ymax = grid.extent
+    xmin, xmax, ymin, ymax = grid.hull
     assert (xmin, ymin) == (105.0, 205.0)
     assert (xmax, ymax) == (135.0, 225.0)
-    assert grid.contains(105.0, 225.0)
-    assert not grid.contains(104.9, 210.0)
+    assert grid.in_hull(105.0, 225.0)
+    assert not grid.in_hull(104.9, 210.0)
+
+
+def test_outer_half_cell_ring_is_in_the_rectangle_but_not_the_hull():
+    grid = TerrainGrid(x_origin=-13.7, y_origin=402.3, cell_size=3.1, ncols=7, nrows=5,
+                       nodata=-9999.0, elevations=np.arange(35.0).reshape(5, 7))
+    assert grid.hull == (grid.x_centers[0], grid.x_centers[-1],
+                         grid.y_centers[0], grid.y_centers[-1])
+    xmin, xmax, ymin, ymax = grid.rect
+    for x, y in ((xmin + 0.2, grid.y_centers[2]), (grid.x_centers[3], ymax - 0.2),
+                 (xmax, ymin)):
+        assert grid.contains(x, y) and not grid.in_hull(x, y)
+        with pytest.raises(TerrainError, match="outside terrain extent"):
+            elevation_at(grid, x, y)
+    assert grid.in_hull(grid.x_centers[0], grid.y_centers[-1])
 
 
 def test_file_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     elev = np.round(rng.uniform(50, 150, size=(6, 9)), 2)
-    grid = TerrainGrid(ncols=9, nrows=6, xllcorner=-20.0, yllcorner=35.0,
+    grid = TerrainGrid(ncols=9, nrows=6, x_origin=-20.0, y_origin=35.0,
                        cell_size=2.5, nodata=-9999.0, elevations=elev)
     path = tmp_path / "t.asc"
     save_terrain(grid, path)
     back = load_terrain(path)
     assert back.ncols == 9 and back.nrows == 6
-    assert back.xllcorner == -20.0 and back.yllcorner == 35.0
+    assert back.x_origin == -20.0 and back.y_origin == 35.0
     assert back.cell_size == 2.5
     np.testing.assert_array_equal(back.elevations, elev)
 
@@ -97,7 +111,7 @@ def test_load_errors(tmp_path, mutate, message_part):
 def test_elevation_bilinear_exact_on_linear_field():
     grid = linear_grid()
     rng = np.random.default_rng(3)
-    xmin, xmax, ymin, ymax = grid.extent
+    xmin, xmax, ymin, ymax = grid.hull
     xs = rng.uniform(xmin, xmax, 200)
     ys = rng.uniform(ymin, ymax, 200)
     got = elevation_at(grid, xs, ys)
@@ -112,17 +126,17 @@ def test_elevation_matches_grid_interpolation_inside_hull():
     # equals bilinear_on_grid over the terrain's own cells, bit for bit,
     # at random points, cell centers and the hull's edges and corners
     rng = np.random.default_rng(21)
-    grid = TerrainGrid(ncols=9, nrows=6, xllcorner=-20.0, yllcorner=35.0,
+    grid = TerrainGrid(ncols=9, nrows=6, x_origin=-20.0, y_origin=35.0,
                        cell_size=2.5, nodata=-9999.0,
                        elevations=rng.uniform(50, 150, size=(6, 9)))
-    xmin, xmax, ymin, ymax = grid.extent
+    xmin, xmax, ymin, ymax = grid.hull
     X, Y = np.meshgrid(grid.x_centers, grid.y_centers)
     xs = np.concatenate([rng.uniform(xmin, xmax, 300), X.ravel(),
                          [xmin, xmax, xmin, xmax, xmin, 0.5 * (xmin + xmax)]])
     ys = np.concatenate([rng.uniform(ymin, ymax, 300), Y.ravel(),
                          [ymin, ymin, ymax, ymax, 0.5 * (ymin + ymax), ymax]])
     np.testing.assert_array_equal(elevation_at(grid, xs, ys),
-                                  bilinear_on_grid(grid.cells, grid.elevations, xs, ys))
+                                  bilinear_on_grid(grid, grid.elevations, xs, ys))
     np.testing.assert_array_equal(elevation_at(grid, X, Y), grid.elevations)
 
 
@@ -131,10 +145,10 @@ def test_ground_at_matches_elevation_at():
     # random points, on the cell-center lines, at the centers and on the
     # hull's edges and corners
     rng = np.random.default_rng(5)
-    grid = TerrainGrid(ncols=11, nrows=7, xllcorner=-13.7, yllcorner=402.3,
+    grid = TerrainGrid(ncols=11, nrows=7, x_origin=-13.7, y_origin=402.3,
                        cell_size=3.3, nodata=-9999.0,
                        elevations=rng.uniform(-40, 900, size=(7, 11)))
-    xmin, xmax, ymin, ymax = grid.extent
+    xmin, xmax, ymin, ymax = grid.hull
     xc, yc = grid.x_centers, grid.y_centers
     points = [(float(x), float(y)) for x, y in
               zip(rng.uniform(xmin, xmax, 400), rng.uniform(ymin, ymax, 400))]
@@ -153,7 +167,7 @@ def test_ground_at_matches_elevation_at():
 def test_ground_at_supported_by_nodata_raises():
     elev = np.full((10, 12), 100.0)
     elev[4, 6] = -9999.0  # center (65, 45)
-    grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
+    grid = TerrainGrid(ncols=12, nrows=10, x_origin=0, y_origin=0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     assert ground_at(grid, 50.0, 30.0) == 100.0
     with pytest.raises(TerrainError) as err:
@@ -164,7 +178,7 @@ def test_ground_at_supported_by_nodata_raises():
 def test_ground_under_matches_elevation_at_centers():
     # more than 2048 cells, so the ground is built in several row bands
     rng = np.random.default_rng(9)
-    grid = TerrainGrid(ncols=80, nrows=70, xllcorner=-5.0, yllcorner=12.0,
+    grid = TerrainGrid(ncols=80, nrows=70, x_origin=-5.0, y_origin=12.0,
                        cell_size=7.0, nodata=-9999.0,
                        elevations=rng.uniform(0, 500, size=(70, 80)))
     cells = GridSpec(x_origin=1.5, y_origin=18.0, cell_size=4.1, ncols=130, nrows=110)
@@ -196,7 +210,7 @@ def test_elevation_outside_extent_raises():
 def test_elevation_supported_by_nodata_raises():
     elev = np.full((10, 12), 100.0)
     elev[4, 6] = -9999.0  # center (65, 45)
-    grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
+    grid = TerrainGrid(ncols=12, nrows=10, x_origin=0, y_origin=0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     assert grid.has_nodata and grid.min_elevation == 100.0  # nodata is not ground
     assert elevation_at(grid, 50.0, 30.0) == 100.0
@@ -210,7 +224,7 @@ def test_elevations_are_a_read_only_copy():
     # has_nodata and min_elevation are derived once; an in-place edit of
     # the caller's array or of the grid's must not leave them stale.
     elev = np.full((10, 12), 100.0)
-    grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
+    grid = TerrainGrid(ncols=12, nrows=10, x_origin=0, y_origin=0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     elev[4, 6] = -9999.0
     assert elevation_at(grid, 65.0, 45.0) == 100.0
@@ -222,7 +236,7 @@ def test_elevations_are_a_read_only_copy():
 def test_terrain_grid_is_frozen():
     # reassigning nodata would otherwise leave has_nodata stale
     elev = np.full((10, 12), 100.0)
-    grid = TerrainGrid(ncols=12, nrows=10, xllcorner=0, yllcorner=0,
+    grid = TerrainGrid(ncols=12, nrows=10, x_origin=0, y_origin=0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.nodata = 100.0
@@ -241,7 +255,7 @@ def test_line_of_sight_wall_blocks():
     grid = flat_grid(100.0, ncols=30, nrows=5, cell=10.0)
     elev = grid.elevations.copy()
     elev[:, 14] = 200.0  # wall at x ~ 145
-    wall = TerrainGrid(ncols=30, nrows=5, xllcorner=0, yllcorner=0,
+    wall = TerrainGrid(ncols=30, nrows=5, x_origin=0, y_origin=0,
                        cell_size=10.0, nodata=-9999.0, elevations=elev)
     a = (50.0, 25.0, 150.0)
     b = (250.0, 25.0, 150.0)
@@ -273,7 +287,7 @@ def test_line_of_sight_matches_dense_oracle_outside_grazing_band():
         width = rng.uniform(15, 30)
         height = rng.uniform(10, 30)
         elev = 50.0 + height * np.exp(-((X - ridge_x) / width) ** 2)
-        grid = TerrainGrid(ncols=ncols, nrows=nrows, xllcorner=0, yllcorner=0,
+        grid = TerrainGrid(ncols=ncols, nrows=nrows, x_origin=0, y_origin=0,
                            cell_size=cell, nodata=-9999.0, elevations=elev)
         a = np.array([20.0, 40.0, rng.uniform(62, 95)])
         b = np.array([170.0, 100.0, rng.uniform(62, 95)])
